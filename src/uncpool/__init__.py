@@ -14,7 +14,6 @@ from .grid import (DeltaGrid, JointGridPosterior, PartitionMass, PosteriorDraws,
                    marginal_delta2, marginal_g, sample_mu, summarize)
 from .io import (InputRecord, ReportDocument, RunConfig, input_echo,
                  logit_transform, parse_input, parse_scenario)
-from .kernels import BACKEND
 from .model import (ClusterStats, ConditionalMoments, SurveyData, cluster_stats,
                     conditional_moments, log_inv_beta_prior, log_joint_kernel,
                     log_partition_likelihood, q_statistic, shrinkage)
@@ -24,6 +23,9 @@ from .simulation import (DELTA_STEP, SimReport, SimScenario, generate_replicate,
                          run_scenario, sd_reduction)
 
 __version__ = "0.1.0"
+
+#: Array backend of the numeric kernels; numpy is the only one.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND", "ClusterStats", "ComputationError", "ConditionalMoments",

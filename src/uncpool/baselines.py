@@ -30,14 +30,6 @@ class PoolAllPosterior:
     grid: DeltaGrid
 
 
-def _pool_conditional(data: SurveyData, deltas2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional posterior mean and variance of nu at each grid point."""
-    w = 1.0 / (data.v[:, None] + deltas2[None, :])   # (L, R)
-    a = w.sum(axis=0)
-    mean = (w * data.y_hat[:, None]).sum(axis=0) / a
-    return mean, 1.0 / a
-
-
 def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
              space: PartitionSpace | None = None,
              jp: JointGridPosterior | None = None) -> PoolAllPosterior:
@@ -47,7 +39,8 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     sum(y_i/(V_i+delta2)) / sum(1/(V_i+delta2)) and variance
     1/sum(1/(V_i+delta2)).  The mixture runs over the grid marginal of
     delta2 from the partition-averaged posterior; mean and SD come from the
-    exact mixture, the 95% interval from ``b`` draws.
+    exact mixture, the 95% interval from ``b`` draws.  The conditional
+    moments are read from the full-set row of the subset table.
 
     Pass ``space`` (or a precomputed ``jp``) to restrict the partitions the
     delta2 marginal averages over, e.g. the single all-in-one partition.
@@ -59,7 +52,8 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
             space = enumerate_partitions(data.l)
         jp = evaluate_joint(data, space, grid)
     weights = marginal_delta2(jp)
-    mean_c, var_c = _pool_conditional(data, grid.deltas2)
+    shift = jp.table.shift
+    mean_c, var_c = jp.table.ybar[-1], 1.0 / jp.table.a[-1]
     mean = float((weights * mean_c).sum())
     e2 = float((weights * (var_c + mean_c ** 2)).sum())
     sd = math.sqrt(max(e2 - mean * mean, 0.0))
@@ -67,7 +61,8 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     cells = rng.choice(grid.r, size=b, p=weights / weights.sum())
     draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
     lo, hi = np.quantile(draws, [0.025, 0.975])
-    return PoolAllPosterior(mean=mean, sd=sd, interval=(float(lo), float(hi)), grid=grid)
+    return PoolAllPosterior(mean=shift + mean, sd=sd,
+                            interval=(shift + float(lo), shift + float(hi)), grid=grid)
 
 
 # ---------------------------------------------------------------------------

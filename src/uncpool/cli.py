@@ -28,39 +28,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Combine point estimates from several sources by "
                     "partition-averaged Bayesian pooling.",
     )
+    # Prefix matching is off: it would read the grid flag --b as dpm's --burn-in.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="CSV input file")
-        p.add_argument("--r", type=int, default=2000, help="delta2 grid size")
-        p.add_argument("--b", type=int, default=5000, help="posterior draw count")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="CSV input file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         p.add_argument("--output", help="output file (default: stdout)")
 
-    p = sub.add_parser("pool", help="full uncertain-pooling analysis")
+    def add_grid(p):
+        p.add_argument("--r", type=int, default=2000, help="delta2 grid size")
+        p.add_argument("--b", type=int, default=5000, help="posterior draw count")
+
+    p = sub.add_parser("pool", allow_abbrev=False, help="full uncertain-pooling analysis")
     add_common(p)
+    add_grid(p)
     p.add_argument("--threshold", type=float, default=0.001,
                    help="display threshold for partition probabilities")
 
-    p = sub.add_parser("pool-all", help="complete-pooling baseline only")
+    p = sub.add_parser("pool-all", allow_abbrev=False, help="complete-pooling baseline only")
     add_common(p)
+    add_grid(p)
 
-    p = sub.add_parser("dpm", help="Dirichlet-process-mixture baseline")
+    p = sub.add_parser("dpm", allow_abbrev=False, help="Dirichlet-process-mixture baseline")
     add_common(p)
     p.add_argument("--m", type=float, default=3.0, help="DP concentration")
     p.add_argument("--iterations", type=int, default=12000)
     p.add_argument("--burn-in", type=int, default=2000, dest="burn_in")
     p.add_argument("--thin", type=int, default=1)
 
-    p = sub.add_parser("simulate", help="run a replicated sampling study")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="run a replicated sampling study")
     p.add_argument("--scenario", required=True, help="key = value scenario file")
     p.add_argument("--output", default="sim_report",
                    help="output base path; writes <base>.json and <base>.csv")
     p.add_argument("--n-jobs", type=int, default=1, dest="n_jobs")
 
-    p = sub.add_parser("partitions", help="list set partitions")
+    p = sub.add_parser("partitions", allow_abbrev=False, help="list set partitions")
     p.add_argument("--l", type=int, required=True, help="number of sources")
     p.add_argument("--input", help="optional CSV input; attaches posterior masses")
     p.add_argument("--r", type=int, default=2000)
@@ -133,9 +137,9 @@ def _cmd_dpm(args) -> int:
     doc = ReportDocument(
         kind="dpm",
         input=input_echo(data),
-        config=_config_dict(args, {"m": args.m, "iterations": args.iterations,
-                                   "burn_in": args.burn_in, "thin": args.thin,
-                                   "hyperparameters": draws.resolved}),
+        config={"seed": args.seed, "format": args.format, "m": args.m,
+                "iterations": args.iterations, "burn_in": args.burn_in,
+                "thin": args.thin, "hyperparameters": draws.resolved},
         results={"dpm": {"rows": rows}},
     )
     _write(render_report(doc, args.format), args.output)

@@ -53,25 +53,28 @@ def build_grid(r: int) -> DeltaGrid:
 
 @dataclass(frozen=True)
 class JointGridPosterior:
-    """Normalized log posterior masses over the (partition, cell) lattice."""
+    """Normalized log posterior masses over the (partition, cell) lattice.
+
+    ``table`` holds the per-subset statistics the lattice was scored from;
+    the moments, the draws and complete pooling read them from here.
+    """
 
     grid: DeltaGrid
     space: PartitionSpace
     log_mass: np.ndarray   # (G, R)
     log_evidence: float
+    table: kernels.SubsetTable
 
 
 def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid,
-                   log_prior_g: np.ndarray | None = None,
-                   method: str = "auto") -> JointGridPosterior:
+                   log_prior_g: np.ndarray | None = None) -> JointGridPosterior:
     """Evaluate and normalize the joint kernel on the (partition, cell) lattice.
 
     Each cell's log mass is the joint kernel (variance prior density,
     partition prior, cluster-count penalty, shrinkage and misfit terms) plus
-    the cell's log prior mass, normalized by log-sum-exp.  For L >= 8 the
-    per-cluster terms are computed once per nonempty subset and partitions
-    score by summing their clusters' cached terms; ``method`` can force
-    either path.
+    the cell's log prior mass, normalized by log-sum-exp.  The misfit of a
+    partition is the sum of its clusters' rows of the per-subset table,
+    which is built once here and kept on the result.
 
     Parameters
     ----------
@@ -88,16 +91,12 @@ def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid,
         if log_prior_g.shape != (space.g,):
             raise DomainError("log_prior_g must have one entry per partition")
 
-    q = kernels.q_matrix(y, v, d2, space.assignment_array, space.d_array, method=method)
+    table = kernels.subset_table(y, v, d2)
     base = 0.5 * np.log(v[:, None] / (d2[None, :] + v[:, None])).sum(axis=0)  # (R,)
-    lm = (
-        base[None, :]
-        - 0.5 * q
-        - 0.5 * space.d_array[:, None]
-        + log_inv_beta_prior(d2)[None, :]
-        + grid.log_prior_mass[None, :]
-        + log_prior_g[:, None]
-    )
+    lm = kernels.q_matrix(table, space.cluster_masks)
+    lm *= -0.5
+    lm += (base + log_inv_beta_prior(d2) + grid.log_prior_mass)[None, :]
+    lm += (log_prior_g - 0.5 * space.d_array)[:, None]
     if not np.all(np.isfinite(lm)):
         g, j = np.unravel_index(int(np.argmin(np.isfinite(lm))), lm.shape)
         raise ComputationError(
@@ -105,7 +104,9 @@ def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid,
             f"(index {g}), grid cell {j} (delta2={d2[j]:g})"
         )
     log_z = _logsumexp(lm.ravel())
-    return JointGridPosterior(grid=grid, space=space, log_mass=lm - log_z, log_evidence=log_z)
+    lm -= log_z
+    return JointGridPosterior(grid=grid, space=space, log_mass=lm, log_evidence=log_z,
+                              table=table)
 
 
 def marginal_g(jp: JointGridPosterior) -> np.ndarray:
@@ -129,53 +130,66 @@ class PosteriorDraws:
     seed: int
 
 
+def _draw_mu(data: SurveyData, table: kernels.SubsetTable, members: np.ndarray,
+             slots: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw mu at given (partition, grid point) pairs, one row per entry of ``cols``.
+
+    ``members`` (n, L) holds the subset bitmask of each source's cluster,
+    ``slots`` (n, L) that cluster's label (its growth-string value), and
+    ``cols`` (n,) the table column.  Two-stage ancestral scheme: per
+    cluster, draw the cluster mean nu_k ~ N(ybar_k, delta2 / sum(lam)) =
+    N(ybar_k, 1 / A_k), then each member mu_i ~ N(lam_i y_i + (1 - lam_i)
+    nu_k, lam_i V_i) independently.  The identity lam_i V_i = delta2
+    (1 - lam_i) makes the resulting mean and covariance match the
+    closed-form conditional moments exactly.
+    """
+    # In place: these (n, L) temporaries set the peak memory of a small run.
+    d2 = table.deltas2[cols][:, None]
+    oml = data.v / (d2 + data.v)
+    col = cols[:, None]
+    nu = np.take_along_axis(rng.standard_normal(slots.shape), slots, axis=1)
+    nu /= np.sqrt(table.a[members, col])
+    nu += table.ybar[members, col]
+    mu = rng.standard_normal(slots.shape)
+    mu *= np.sqrt(d2 * oml)
+    nu *= oml
+    mu += nu
+    mu += d2 / (d2 + data.v) * (data.y_hat - table.shift)
+    mu += table.shift
+    return mu
+
+
 def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """Draw mu at fixed partition, one draw per entry of ``delta2``.
 
-    Two-stage ancestral scheme: per cluster, draw the cluster mean
-    nu_k ~ N(mu_hat_k, delta2 / sum(lam)), then each member
-    mu_i ~ N(lam_i y_i + (1 - lam_i) nu_k, lam_i V_i) independently.  The
-    identity lam_i V_i = delta2 (1 - lam_i) makes the resulting mean and
-    covariance match the closed-form conditional moments exactly.
+    Uses the scheme of :func:`_draw_mu` on a table over the distinct
+    ``delta2`` values.
     """
-    n = delta2.shape[0]
-    out = np.empty((n, data.l))
-    for members in p.clusters:
-        mem = list(members)
-        lam = delta2[None, :] / (delta2[None, :] + data.v[mem, None])   # (m, n)
-        oml = data.v[mem, None] / (delta2[None, :] + data.v[mem, None])
-        lam_sum = lam.sum(axis=0)
-        mu_hat = (lam * data.y_hat[mem, None]).sum(axis=0) / lam_sum
-        nu = rng.normal(mu_hat, np.sqrt(delta2 / lam_sum))
-        for a, i in enumerate(mem):
-            loc = lam[a] * data.y_hat[i] + oml[a] * nu
-            out[:, i] = rng.normal(loc, np.sqrt(lam[a] * data.v[i]))
-    return out
+    d2, cols = np.unique(delta2, return_inverse=True)
+    table = kernels.subset_table(data.y_hat, data.v, d2)
+    members = PartitionSpace(l=p.l, partitions=(p,)).member_masks
+    shape = (delta2.shape[0], p.l)
+    return _draw_mu(data, table, np.broadcast_to(members, shape),
+                    np.broadcast_to(p.assignment, shape), cols, rng)
 
 
 def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> PosteriorDraws:
     """Draw B values of mu by ancestral sampling from the grid posterior.
 
     Cells are drawn with replacement proportional to their posterior mass;
-    given a cell, mu is drawn by the two-stage scheme of
-    :func:`_draw_mu_for_partition`.  Reproducible given the seed.
+    given a cell, mu is drawn by the two-stage scheme of :func:`_draw_mu`
+    from the cell's rows of the subset table.  Reproducible given the seed.
     """
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     rng = np.random.default_rng(seed)
     prob = np.exp(jp.log_mass).ravel()
-    prob = prob / prob.sum()
+    prob /= prob.sum()
     cells = rng.choice(prob.shape[0], size=b, p=prob)
     g_idx, j_idx = np.unravel_index(cells, jp.log_mass.shape)
-    mu = np.empty((b, data.l))
-    for g in range(jp.space.g):
-        sel = g_idx == g
-        if not np.any(sel):
-            continue
-        mu[sel] = _draw_mu_for_partition(
-            data, jp.space.partitions[g], jp.grid.deltas2[j_idx[sel]], rng
-        )
+    mu = _draw_mu(data, jp.table, jp.space.member_masks[g_idx],
+                  jp.space.assignment_array[g_idx], j_idx, rng)
     return PosteriorDraws(
         b=b,
         mu=mu,
@@ -189,34 +203,30 @@ def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.
     """Deterministic posterior mean and SD of each mu_i from the cell mixture.
 
     Means are mass-weighted conditional means; variances follow the law of
-    total variance over cells.  No Monte Carlo error.
+    total variance over cells.  No Monte Carlo error.  Given its cluster S
+    and delta2, source i has mean lam_i y_i + (1 - lam_i) ybar_S and
+    variance delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S, so each source needs
+    only its cluster's table rows.  Moments are formed about the table's
+    shift, so E[x^2] - E[x]^2 does not cancel for offset data.
     """
+    t = jp.table
     w = np.exp(jp.log_mass)
-    d2 = jp.grid.deltas2
-    L = data.l
-    e1 = np.zeros(L)
-    e2 = np.zeros(L)
-    for g, p in enumerate(jp.space.partitions):
-        wg = w[g]
-        wg_total = wg.sum()
-        for members in p.clusters:
-            if len(members) == 1:
-                i = members[0]
-                y = data.y_hat[i]
-                e1[i] += wg_total * y          # singleton identity, exact
-                e2[i] += wg_total * (data.v[i] + y * y)
-                continue
-            mem = list(members)
-            lam = d2[None, :] / (d2[None, :] + data.v[mem, None])
-            oml = data.v[mem, None] / (d2[None, :] + data.v[mem, None])
-            lam_sum = lam.sum(axis=0)
-            mu_hat = (lam * data.y_hat[mem, None]).sum(axis=0) / lam_sum
-            for a, i in enumerate(mem):
-                m = lam[a] * data.y_hat[i] + oml[a] * mu_hat
-                var = d2 * oml[a] + oml[a] ** 2 * d2 / lam_sum
-                e1[i] += (wg * m).sum()
-                e2[i] += (wg * (var + m * m)).sum()
-    return e1, np.sqrt(e2 - e1 * e1)
+    w_cell = w.sum(axis=0)                                   # (R,)
+    nu2 = np.zeros_like(t.a)                                 # E[nu_S^2 | cell]
+    nu2[1:] = t.ybar[1:] ** 2 + 1.0 / t.a[1:]
+    d2 = t.deltas2
+    e1 = np.empty(data.l)
+    e2 = np.empty(data.l)
+    for i in range(data.l):
+        rows = jp.space.member_masks[:, i]
+        m1 = np.einsum("gr,gr->r", w, t.ybar[rows])
+        m2 = np.einsum("gr,gr->r", w, nu2[rows])
+        lam = d2 / (d2 + data.v[i])
+        oml = data.v[i] / (d2 + data.v[i])
+        own = lam * (data.y_hat[i] - t.shift)
+        e1[i] = (own * w_cell + oml * m1).sum()
+        e2[i] = (w_cell * (d2 * oml + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum()
+    return t.shift + e1, np.sqrt(e2 - e1 * e1)
 
 
 @dataclass(frozen=True)

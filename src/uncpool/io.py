@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .baselines import DpmConfig
 from .errors import DomainError, ParseError
 from .model import SurveyData
 from .simulation import SimReport, SimScenario
@@ -130,10 +129,9 @@ def parse_input(source) -> SurveyData:
                              line=line_no) from None
         records.append(rec)
     moments = [rec.to_moments() for rec in records]
-    data = SurveyData(labels=[rec.label for rec in records],
-                      y_hat=[m[0] for m in moments], v=[m[1] for m in moments])
-    data.source_form = form  # type: ignore[attr-defined]
-    return data
+    return SurveyData(labels=[rec.label for rec in records],
+                      y_hat=[m[0] for m in moments], v=[m[1] for m in moments],
+                      source_form=form)
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,6 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
     threshold: float = 0.001
-    dpm: DpmConfig | None = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -191,7 +188,7 @@ def input_echo(data: SurveyData) -> dict:
         "labels": list(data.labels),
         "estimates": [float(x) for x in data.y_hat],
         "variances": [float(x) for x in data.v],
-        "form": getattr(data, "source_form", "summary"),
+        "form": data.source_form,
     }
 
 

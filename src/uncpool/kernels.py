@@ -1,171 +1,98 @@
-"""Numerical hot paths, JIT-compiled with numba when available.
+"""The per-subset engine every grid consumer reads, and the DPM Gibbs chain.
 
-Set ``UNCPOOL_NO_NUMBA=1`` in the environment to force the pure-numpy
-fallback implementations.  ``BACKEND`` records which path is active.
-Both paths implement identical arithmetic; ``benchmarks/bench_backends.py``
-compares their outputs and speed.
-
-The partition score factorizes over clusters.  With w_i = 1/(d2 + V_i) the
-within-cluster misfit of cluster S is
+Everything a partition contributes at a grid point depends only on sums over
+its clusters.  With w_i = 1/(delta2 + V_i), cluster S has precision
+A_S = sum w_i, precision-weighted mean ybar_S = B_S / A_S and within-cluster
+misfit
 
     q_S = sum_{i in S} w_i * (y_i - ybar_S)^2 = C_S - B_S^2 / A_S
 
-where A_S, B_S, C_S are the cluster sums of w_i, w_i*y_i, w_i*y_i^2 and
-ybar_S = B_S / A_S is the precision-weighted cluster mean.  Everything a
-partition contributes beyond the shared per-column terms is the sum of its
-clusters' q_S, which is what these kernels compute.
+where B_S and C_S are the cluster sums of w_i*y_i and w_i*y_i^2.
+:func:`subset_table` computes (A_S, ybar_S, q_S) once for every subset of
+the sources on the whole grid.  The partition misfit, the mixture moments,
+the posterior draws and complete pooling all read that one table;
+``model.py`` keeps the scalar per-cluster formulas as the reference.
+
+C - B^2/A cancels catastrophically when the estimates share a large offset,
+so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
+1983, "Algorithms for computing the sample variance").  The table stores
+``ybar`` centred and records the offset as ``shift``.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-_env = os.environ.get("UNCPOOL_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _env in {"1", "true", "yes", "on"}
 
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
+@dataclass(frozen=True)
+class SubsetTable:
+    """(A_S, ybar_S, q_S) for every subset S of the L sources at each grid point.
 
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-
-# ---------------------------------------------------------------------------
-# partition misfit matrix: q[g, j] = sum over clusters of C - B^2/A
-# ---------------------------------------------------------------------------
-
-def _q_matrix_loops(y, v, deltas2, assign, d_arr):
-    G, L = assign.shape
-    R = deltas2.shape[0]
-    out = np.empty((G, R))
-    a = np.empty(L)
-    b = np.empty(L)
-    c = np.empty(L)
-    for g in range(G):
-        d = d_arr[g]
-        for j in range(R):
-            d2 = deltas2[j]
-            for k in range(d):
-                a[k] = 0.0
-                b[k] = 0.0
-                c[k] = 0.0
-            for i in range(L):
-                w = 1.0 / (d2 + v[i])
-                k = assign[g, i]
-                a[k] += w
-                b[k] += w * y[i]
-                c[k] += w * y[i] * y[i]
-            q = 0.0
-            for k in range(d):
-                q += c[k] - b[k] * b[k] / a[k]
-            out[g, j] = q
-    return out
-
-
-def _q_matrix_numpy(y, v, deltas2, assign, d_arr):
-    G, L = assign.shape
-    R = deltas2.shape[0]
-    w = 1.0 / (deltas2[None, :] + v[:, None])          # (L, R)
-    wy = w * y[:, None]
-    wyy = wy * y[:, None]
-    out = np.empty((G, R))
-    for g in range(G):
-        d = int(d_arr[g])
-        a = np.zeros((d, R))
-        b = np.zeros((d, R))
-        c = np.zeros((d, R))
-        np.add.at(a, assign[g], w)
-        np.add.at(b, assign[g], wy)
-        np.add.at(c, assign[g], wyy)
-        out[g] = (c - b * b / a).sum(axis=0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# subset factorization for larger L: per-cluster terms are shared between
-# partitions, so compute q_S once per nonempty subset S and let each
-# partition sum its clusters' entries.
-# ---------------------------------------------------------------------------
-
-def subset_q_terms(y, v, deltas2):
-    """(2^L - 1, R) misfit q_S for every nonempty subset, indexed by bitmask-1."""
-    L = y.shape[0]
-    R = deltas2.shape[0]
-    w = 1.0 / (deltas2[None, :] + v[:, None])
-    wy = w * y[:, None]
-    wyy = wy * y[:, None]
-    n = 1 << L
-    a = np.zeros((n, R))
-    b = np.zeros((n, R))
-    c = np.zeros((n, R))
-    for mask in range(1, n):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        a[mask] = a[rest] + w[i]
-        b[mask] = b[rest] + wy[i]
-        c[mask] = c[rest] + wyy[i]
-    return c[1:] - b[1:] * b[1:] / a[1:]
-
-
-def partition_subset_ids(assign, d_arr):
-    """Flattened per-partition lists of subset indices (bitmask - 1).
-
-    Returns (flat_ids, offsets) where partition g's clusters occupy
-    flat_ids[offsets[g]:offsets[g+1]].
+    Rows are indexed by the subset's bitmask, bit i set when source i is a
+    member.  Row 0, the empty set, is all zeros; it pads the cluster lists
+    of partitions with fewer than L clusters.
     """
-    G, L = assign.shape
-    offsets = np.zeros(G + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(d_arr)
-    # OR each element's bit into its cluster's slot in one flat scatter
-    flat = np.zeros(offsets[-1], dtype=np.int64)
-    slots = offsets[:-1, None] + assign
-    bits = np.broadcast_to(np.int64(1) << np.arange(L, dtype=np.int64), (G, L))
-    np.bitwise_or.at(flat, slots.ravel(), bits.ravel())
-    return flat - 1, offsets
+
+    deltas2: np.ndarray  # (R,)
+    shift: float         # precision-weighted mean of y, removed before summing
+    a: np.ndarray        # (2^L, R) A_S
+    ybar: np.ndarray     # (2^L, R) ybar_S - shift
+    q: np.ndarray        # (2^L, R) q_S
 
 
-def _combine_subsets_loops(terms, flat_ids, offsets):
-    G = offsets.shape[0] - 1
-    R = terms.shape[1]
-    out = np.zeros((G, R))
-    for g in range(G):
-        for p in range(offsets[g], offsets[g + 1]):
-            s = flat_ids[p]
-            for j in range(R):
-                out[g, j] += terms[s, j]
-    return out
+def subset_table(y, v, deltas2) -> SubsetTable:
+    """Per-subset sums of the centred estimates on the delta2 grid.
+
+    The subsets holding source i as their highest member are the subsets of
+    sources 0..i-1 with i added, so one block addition per source builds
+    all 2^L rows.
+    """
+    L = y.shape[0]
+    shift = float((y / v).sum() / (1.0 / v).sum())
+    yc = y - shift
+    w = 1.0 / (deltas2[None, :] + v[:, None])               # (L, R)
+    terms = np.stack([w, w * yc[:, None], w * (yc * yc)[:, None]])  # (3, L, R)
+    sums = np.zeros((3, 1 << L, deltas2.shape[0]))
+    for i in range(L):
+        lo = 1 << i
+        sums[:, lo:2 * lo] = sums[:, :lo] + terms[:, i, None, :]
+    a, ybar, q = sums              # B and C, overwritten in place below
+    ybar[1:] /= a[1:]
+    q[1:] -= ybar[1:] * ybar[1:] * a[1:]
+    return SubsetTable(deltas2=deltas2, shift=shift, a=a, ybar=ybar, q=q)
 
 
-def _combine_subsets_numpy(terms, flat_ids, offsets):
-    G = offsets.shape[0] - 1
-    out = np.empty((G, terms.shape[1]))
-    for g in range(G):
-        out[g] = terms[flat_ids[offsets[g]:offsets[g + 1]]].sum(axis=0)
+def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
+    """(G, R) within-cluster misfit of every (partition, grid point) pair.
+
+    ``cluster_masks`` is ``PartitionSpace.cluster_masks``: row g lists the
+    bitmasks of partition g's clusters, padded with the empty set.
+    """
+    G, L = cluster_masks.shape
+    out = np.take(table.q, cluster_masks[:, 0], axis=0)
+    rows = np.empty_like(out)
+    for k in range(1, L):
+        # masks are in range by construction; mode="raise" would buffer ``out``
+        np.take(table.q, cluster_masks[:, k], axis=0, out=rows, mode="clip")
+        out += rows
     return out
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet-process-mixture collapsed Gibbs chain.
 #
-# The chain consumes pre-drawn variates so both backends follow the same
-# trajectory for the same seed: uniforms (T, L) drive the assignment
-# choices, norm_phi (T, L) the cluster-value draws, norm_eta (T,) the
-# base-mean draw, and gammas[t, k-1] ~ Gamma(phi1/2 + k/2, 1) the precision
-# draw used when k clusters are realized at sweep t.  numba's log/exp/sqrt
-# can differ from CPython's in the last ulp, so backend outputs agree to
-# ~1e-15 per sweep rather than bit-for-bit.
+# The chain consumes pre-drawn variates, so the seed alone fixes its
+# trajectory: uniforms (T, L) drive the assignment choices, norm_phi (T, L)
+# the cluster-value draws, norm_eta (T,) the base-mean draw, and
+# gammas[t, k-1] ~ Gamma(phi1/2 + k/2, 1) the precision draw used when k
+# clusters are realized at sweep t.
 # ---------------------------------------------------------------------------
 
-def _dpm_chain_impl(y, v, m, eta_b, s_b, phi1, phi2, eta0, tau20,
-                    update_eta, update_tau2, burn, thin,
-                    uniforms, norm_phi, norm_eta, gammas):
+def dpm_chain(y, v, m, eta_b, s_b, phi1, phi2, eta0, tau20,
+              update_eta, update_tau2, burn, thin,
+              uniforms, norm_phi, norm_eta, gammas):
     T, L = uniforms.shape
     kept = 0
     for t in range(burn, T):
@@ -271,33 +198,3 @@ def _dpm_chain_impl(y, v, m, eta_b, s_b, phi1, phi2, eta0, tau20,
             tau2_hist[row] = tau2
             row += 1
     return z_hist, theta_hist, eta_hist, tau2_hist
-
-
-if BACKEND == "numba":
-    _q_matrix_impl = njit(cache=True)(_q_matrix_loops)
-    _combine_subsets_impl = njit(cache=True)(_combine_subsets_loops)
-    dpm_chain = njit(cache=True)(_dpm_chain_impl)
-else:
-    _q_matrix_impl = _q_matrix_numpy
-    _combine_subsets_impl = _combine_subsets_numpy
-    dpm_chain = _dpm_chain_impl
-
-#: L at or above which the subset factorization replaces the direct sweep.
-SUBSET_METHOD_MIN_L = 8
-
-
-def q_matrix(y, v, deltas2, assign, d_arr, method: str = "auto") -> np.ndarray:
-    """(G, R) within-cluster misfit for every (partition, grid point) pair.
-
-    ``method`` is "direct" (per-partition sweep), "subset" (shared
-    per-subset terms, preferred for L >= 8), or "auto".
-    """
-    if method == "auto":
-        method = "subset" if y.shape[0] >= SUBSET_METHOD_MIN_L else "direct"
-    if method == "direct":
-        return _q_matrix_impl(y, v, deltas2, assign, d_arr)
-    if method == "subset":
-        terms = subset_q_terms(y, v, deltas2)
-        flat, offsets = partition_subset_ids(assign, d_arr)
-        return _combine_subsets_impl(terms, flat, offsets)
-    raise ValueError(f"unknown method {method!r}")

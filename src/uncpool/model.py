@@ -32,16 +32,22 @@ class SurveyData:
         Point estimates, finite.
     v : array-like
         Sampling variances, strictly positive.
+    source_form : {"summary", "binomial"}
+        The input form the estimates came from, echoed into reports.
     """
 
     labels: tuple[str, ...]
     y_hat: np.ndarray
     v: np.ndarray
+    source_form: str
 
-    def __init__(self, labels: Sequence[str], y_hat, v):
+    def __init__(self, labels: Sequence[str], y_hat, v, source_form: str = "summary"):
         self.labels = tuple(str(s) for s in labels)
         self.y_hat = np.asarray(y_hat, dtype=np.float64)
         self.v = np.asarray(v, dtype=np.float64)
+        self.source_form = source_form
+        if source_form not in ("summary", "binomial"):
+            raise DomainError(f"unknown source form {source_form!r}")
         if self.y_hat.ndim != 1 or self.v.shape != self.y_hat.shape:
             raise DomainError("y_hat and v must be 1-d arrays of equal length")
         if len(self.labels) != self.y_hat.shape[0]:

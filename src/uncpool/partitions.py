@@ -122,6 +122,25 @@ class PartitionSpace:
         """(G,) cluster counts."""
         return self.assignment_array.max(axis=1) + 1
 
+    @cached_property
+    def cluster_masks(self) -> np.ndarray:
+        """(G, L) subset bitmask of cluster k of each partition, 0 past the last.
+
+        Bit i is set when source i is a member; these index the rows of
+        ``kernels.SubsetTable``.
+        """
+        assign = self.assignment_array
+        out = np.zeros(assign.shape, dtype=np.int64)
+        rows = np.arange(assign.shape[0])
+        for i in range(self.l):
+            out[rows, assign[:, i]] |= 1 << i
+        return out
+
+    @cached_property
+    def member_masks(self) -> np.ndarray:
+        """(G, L) subset bitmask of the cluster holding source i in each partition."""
+        return np.take_along_axis(self.cluster_masks, self.assignment_array, axis=1)
+
     def index_of(self, p: Partition) -> int:
         return self.partitions.index(p)
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uncpool import (DomainError, DpmConfig, SurveyData, build_grid, dpm_exact,
-                     dpm_gibbs, dpm_partition_prior, enumerate_partitions,
+from uncpool import (DomainError, DpmConfig, SurveyData, build_grid, cluster_stats,
+                     dpm_exact, dpm_gibbs, dpm_partition_prior, enumerate_partitions,
                      evaluate_joint, marginal_delta2, pool_all)
 
 from conftest import make_dixie
@@ -41,9 +41,10 @@ def test_pool_all_restricted_space_consistency():
     restricted = PartitionSpace(l=3, partitions=tuple(one))
     jp = evaluate_joint(data, restricted, grid)
     weights = marginal_delta2(jp)
-    from uncpool.baselines import _pool_conditional
-
-    mean_c, var_c = _pool_conditional(data, grid.deltas2)
+    # conditional on delta2, nu ~ N(mu_hat, delta2 / sum(lam)) for the single cluster
+    stats = [cluster_stats(data, range(3), float(d2)) for d2 in grid.deltas2]
+    mean_c = np.array([st.mu_hat for st in stats])
+    var_c = grid.deltas2 / np.array([st.lam_sum for st in stats])
     expect_mean = float((weights * mean_c).sum())
     expect_sd = math.sqrt(float((weights * (var_c + mean_c ** 2)).sum()) - expect_mean ** 2)
     pa = pool_all(data, grid, b=2000, seed=0, space=restricted)

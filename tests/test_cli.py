@@ -88,9 +88,16 @@ def test_dpm_command(dixie_file, tmp_path):
     doc = ReportDocument.from_json(out.read_text(encoding="utf-8"))
     assert doc.config["m"] == 3.0
     assert "hyperparameters" in doc.config
+    assert "r" not in doc.config and "b" not in doc.config
     rows = doc.results["dpm"]["rows"]
     assert len(rows) == 3
     assert all(r["ci_lower"] <= r["post_mean"] <= r["ci_upper"] for r in rows)
+
+
+def test_dpm_rejects_grid_flags(dixie_file):
+    # the chain uses no variance grid and no posterior-draw count
+    assert run_command(["dpm", "--input", str(dixie_file), "--r", "300"]) == 2
+    assert run_command(["dpm", "--input", str(dixie_file), "--b", "300"]) == 2
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -6,9 +6,11 @@ import pytest
 
 from uncpool import (ComputationError, DomainError, JointGridPosterior, Partition,
                      SurveyData, build_grid, conditional_moments, enumerate_partitions,
-                     evaluate_joint, exact_mixture_moments, marginal_delta2, marginal_g,
-                     q_statistic, sample_mu, summarize)
+                     evaluate_joint, exact_mixture_moments, log_joint_kernel,
+                     marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu,
+                     summarize)
 from uncpool.grid import _draw_mu_for_partition
+from uncpool.kernels import q_matrix, subset_table
 
 from conftest import make_dixie
 
@@ -77,7 +79,9 @@ def test_uniform_mass_gives_uniform_marginal():
     space = enumerate_partitions(3)
     grid = build_grid(8)
     lm = np.full((space.g, grid.r), -math.log(space.g * grid.r))
-    jp = JointGridPosterior(grid=grid, space=space, log_mass=lm, log_evidence=0.0)
+    table = subset_table(np.zeros(3), np.ones(3), grid.deltas2)
+    jp = JointGridPosterior(grid=grid, space=space, log_mass=lm, log_evidence=0.0,
+                            table=table)
     assert marginal_g(jp) == pytest.approx([0.2] * 5, abs=1e-12)
     assert marginal_delta2(jp) == pytest.approx([1 / 8] * 8, abs=1e-12)
 
@@ -90,25 +94,28 @@ def test_mean_delta2_consistent_between_marginal_and_joint(dixie_panel1):
     assert from_marginal == pytest.approx(from_joint, abs=1e-12)
 
 
-@pytest.mark.parametrize("l", [5, 8])
-def test_direct_and_subset_methods_agree(l):
+@pytest.mark.parametrize("l", [2, 3, 5, 8])
+def test_lattice_matches_scalar_kernel(l):
+    # log masses equal the scalar joint kernel up to one normalizing constant
     rng = np.random.default_rng(l)
     data = small_data(rng, l)
     space = enumerate_partitions(l)
     grid = build_grid(60)
-    a = evaluate_joint(data, space, grid, method="direct")
-    b = evaluate_joint(data, space, grid, method="subset")
-    assert np.max(np.abs(a.log_mass - b.log_mass)) < 1e-10
+    jp = evaluate_joint(data, space, grid)
+    log_pg = -math.log(space.g)
+    gs = range(space.g) if space.g <= 60 else rng.choice(space.g, 60, replace=False)
+    diffs = [jp.log_mass[g, j] - log_joint_kernel(data, space.partitions[g],
+                                                  float(grid.deltas2[j]), log_pg)
+             for g in gs for j in (0, 7, 31, 59)]
+    assert max(diffs) - min(diffs) < 1e-10
 
 
 def test_scores_match_scalar_kernel(dixie_panel1):
     # vectorized grid scores agree with the scalar misfit statistic
     space = enumerate_partitions(3)
     grid = build_grid(40)
-    from uncpool.kernels import q_matrix
-
-    q = q_matrix(dixie_panel1.y_hat, dixie_panel1.v, grid.deltas2,
-                 space.assignment_array, space.d_array)
+    q = q_matrix(subset_table(dixie_panel1.y_hat, dixie_panel1.v, grid.deltas2),
+                 space.cluster_masks)
     for gi, p in enumerate(space.partitions):
         for j in (0, 13, 39):
             expect = q_statistic(dixie_panel1, p, float(grid.deltas2[j]))
@@ -151,6 +158,44 @@ def test_permutation_equivariance():
     for gi, p in enumerate(space.partitions):
         image = frozenset(frozenset(int(pos[i]) for i in c) for c in p.clusters)
         assert pg_b[index_b[image]] == pytest.approx(pg_a[gi], abs=1e-12)
+
+
+def test_moments_match_brute_force_mixture():
+    # mixture of the scalar conditional moments over every (partition, cell)
+    rng = np.random.default_rng(17)
+    data = small_data(rng, 5)
+    space = enumerate_partitions(5)
+    jp = evaluate_joint(data, space, build_grid(40))
+    w = np.exp(jp.log_mass)
+    e1 = np.zeros(5)
+    e2 = np.zeros(5)
+    for g, p in enumerate(space.partitions):
+        for j, d2 in enumerate(jp.grid.deltas2):
+            cm = conditional_moments(data, p, float(d2))
+            e1 += w[g, j] * cm.mean
+            e2 += w[g, j] * (np.diag(cm.cov) + cm.mean ** 2)
+    mean, sd = exact_mixture_moments(data, jp)
+    assert np.max(np.abs(mean - e1)) < 1e-12
+    assert np.max(np.abs(sd - np.sqrt(e2 - e1 ** 2))) < 1e-12
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_translation_invariance(dixie_panel1, shift):
+    # adding a constant to every estimate moves only the means, by the constant
+    space = enumerate_partitions(3)
+    grid = build_grid(2000)
+    moved = SurveyData(dixie_panel1.labels, dixie_panel1.y_hat + shift, dixie_panel1.v)
+    jp_a = evaluate_joint(dixie_panel1, space, grid)
+    jp_b = evaluate_joint(moved, space, grid)
+    assert np.max(np.abs(marginal_g(jp_b) - marginal_g(jp_a))) < 1e-8
+    mean_a, sd_a = exact_mixture_moments(dixie_panel1, jp_a)
+    mean_b, sd_b = exact_mixture_moments(moved, jp_b)
+    assert np.max(np.abs(mean_b - shift - mean_a)) < 1e-8
+    assert np.max(np.abs(sd_b - sd_a)) < 1e-8
+    pa_a = pool_all(dixie_panel1, grid, b=10, jp=jp_a)
+    pa_b = pool_all(moved, grid, b=10, jp=jp_b)
+    assert abs(pa_b.mean - shift - pa_a.mean) < 1e-8
+    assert abs(pa_b.sd - pa_a.sd) < 1e-8
 
 
 def test_refinement_stability(dixie_panel1):

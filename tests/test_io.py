@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from uncpool import (DomainError, InputRecord, ParseError, ReportDocument,
-                     RunConfig, build_grid, enumerate_partitions, evaluate_joint,
-                     exact_mixture_moments, logit_transform, parse_input,
-                     parse_scenario, sample_mu)
+                     RunConfig, SurveyData, build_grid, enumerate_partitions,
+                     evaluate_joint, exact_mixture_moments, input_echo,
+                     logit_transform, parse_input, parse_scenario, sample_mu)
 from uncpool.io import render_csv, render_markdown, render_report, sim_report_csv, sim_report_json
 
 
@@ -82,6 +82,15 @@ def test_parse_binomial_form():
     assert data.y_hat[0] == 0.0
     assert data.v[0] == 0.04
     assert data.source_form == "binomial"
+    assert input_echo(data)["form"] == "binomial"
+
+
+def test_source_form_field():
+    data = SurveyData(["a"], [0.3], [0.01])
+    assert data.source_form == "summary"
+    assert input_echo(data)["form"] == "summary"
+    with pytest.raises(DomainError):
+        SurveyData(["a"], [0.3], [0.01], source_form="counts")
 
 
 def test_parse_empty_inputs():

@@ -1,12 +1,10 @@
-"""Backend equivalence: numba-compiled kernels vs the pure-numpy fallbacks."""
+"""The per-subset engine against the scalar oracle in ``model.py``, and the DPM chain."""
 
 import numpy as np
 import pytest
 
-from uncpool import kernels
-from uncpool.kernels import (_combine_subsets_numpy, _dpm_chain_impl, _q_matrix_loops,
-                             _q_matrix_numpy, partition_subset_ids, q_matrix,
-                             subset_q_terms)
+from uncpool import SurveyData, q_statistic
+from uncpool.kernels import dpm_chain, q_matrix, subset_table
 from uncpool.partitions import enumerate_partitions
 
 
@@ -19,61 +17,43 @@ def instance(rng, l, r):
     return y, v, d2, space
 
 
-@pytest.mark.parametrize("l", [2, 4, 6])
-def test_loop_and_numpy_q_matrices_agree(l):
-    rng = np.random.default_rng(l)
-    y, v, d2, space = instance(rng, l, 50)
-    a = _q_matrix_loops(y, v, d2, space.assignment_array, space.d_array)
-    b = _q_matrix_numpy(y, v, d2, space.assignment_array, space.d_array)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("l", [3, 5, 8])
+@pytest.mark.parametrize("l", [2, 3, 5, 8])
 def test_subset_factorization_matches_direct(l):
+    # summing clusters' subset rows reproduces the scalar per-cluster misfit
     rng = np.random.default_rng(10 + l)
     y, v, d2, space = instance(rng, l, 40)
-    direct = q_matrix(y, v, d2, space.assignment_array, space.d_array, method="direct")
-    subset = q_matrix(y, v, d2, space.assignment_array, space.d_array, method="subset")
-    assert np.allclose(direct, subset, rtol=1e-11, atol=1e-13)
-
-
-def test_auto_method_switches_at_large_l():
-    rng = np.random.default_rng(0)
-    y, v, d2, space = instance(rng, 3, 16)
-    assert np.allclose(
-        q_matrix(y, v, d2, space.assignment_array, space.d_array, method="auto"),
-        q_matrix(y, v, d2, space.assignment_array, space.d_array, method="direct"),
-    )
-    with pytest.raises(ValueError):
-        q_matrix(y, v, d2, space.assignment_array, space.d_array, method="nope")
+    data = SurveyData([f"s{i}" for i in range(l)], y, v)
+    q = q_matrix(subset_table(y, v, d2), space.cluster_masks)
+    assert q.shape == (space.g, 40)
+    gs = range(space.g) if space.g <= 60 else rng.choice(space.g, 60, replace=False)
+    for g in gs:
+        p = space.partitions[g]
+        for j in (0, 17, 39):
+            expect = q_statistic(data, p, float(d2[j]))
+            assert q[g, j] == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
 
 def test_partition_subset_ids_l3():
     space = enumerate_partitions(3)
-    flat, offsets = partition_subset_ids(space.assignment_array, space.d_array)
     # canonical order: {123}, {12}{3}, {13}{2}, {1}{23}, {1}{2}{3}
     # masks: 0b111; 0b011,0b100; 0b101,0b010; 0b001,0b110; 0b001,0b010,0b100
     expected = [[6], [2, 3], [4, 1], [0, 5], [0, 1, 3]]
-    got = [list(flat[offsets[g]:offsets[g + 1]]) for g in range(space.g)]
+    got = [[int(m) - 1 for m in row if m] for row in space.cluster_masks]
     assert got == expected
+    # each source's cluster, as a mask, read off the same partitions
+    assert space.member_masks.tolist() == [[7, 7, 7], [3, 3, 4], [5, 2, 5],
+                                           [1, 6, 6], [1, 2, 4]]
 
 
 def test_subset_terms_singletons_are_zero():
     rng = np.random.default_rng(2)
     y, v, d2, _ = instance(rng, 4, 20)
-    terms = subset_q_terms(y, v, d2)
+    table = subset_table(y, v, d2)
     for i in range(4):
-        assert np.max(np.abs(terms[(1 << i) - 1])) < 1e-12
-
-
-def test_combine_subsets_numpy_matches_loops():
-    rng = np.random.default_rng(6)
-    y, v, d2, space = instance(rng, 5, 30)
-    terms = subset_q_terms(y, v, d2)
-    flat, offsets = partition_subset_ids(space.assignment_array, space.d_array)
-    a = _combine_subsets_numpy(terms, flat, offsets)
-    b = kernels._combine_subsets_impl(terms, flat, offsets)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert np.max(np.abs(table.q[1 << i])) < 1e-12
+        assert table.ybar[1 << i] == pytest.approx(np.full(20, y[i] - table.shift), abs=1e-15)
+        assert table.a[1 << i] == pytest.approx(1.0 / (d2 + v[i]), rel=1e-15)
+    assert not table.q[0].any() and not table.a[0].any()
 
 
 def _chain_inputs(seed=4, t=400, l=3):
@@ -90,23 +70,10 @@ def _chain_inputs(seed=4, t=400, l=3):
             True, True, 100, 1, uniforms, norm_phi, norm_eta, gammas)
 
 
-@pytest.mark.skipif(kernels.BACKEND != "numba", reason="numba backend not active")
-def test_dpm_chain_backends_agree():
-    # same pre-drawn variates, same trajectory; floats may drift by an ulp
-    # per sweep because numba's libm differs from CPython's in the last bit
-    args = _chain_inputs()
-    z_nb, th_nb, eta_nb, tau_nb = kernels.dpm_chain(*args)
-    z_py, th_py, eta_py, tau_py = _dpm_chain_impl(*args)
-    assert np.array_equal(z_nb, z_py)
-    assert np.allclose(th_nb, th_py, rtol=0, atol=1e-10)
-    assert np.allclose(eta_nb, eta_py, rtol=0, atol=1e-10)
-    assert np.allclose(tau_nb, tau_py, rtol=0, atol=1e-12)
-
-
 def test_dpm_chain_thinning_and_shapes():
     args = list(_chain_inputs(t=250))
     args[12] = 3  # thin
-    z, th, eta, tau = _dpm_chain_impl(*args)
+    z, th, eta, tau = dpm_chain(*args)
     assert z.shape == (50, 3) and th.shape == (50, 3)
     assert eta.shape == (50,) and tau.shape == (50,)
     assert np.all(tau > 0)
