@@ -47,6 +47,10 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     """
     if data.l < 2:
         raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
+    if b < 1:
+        raise DomainError(f"draw count must be >= 1, got {b}")
+    if jp is not None and not np.array_equal(jp.grid.deltas2, grid.deltas2):
+        raise DomainError(f"jp was built on a grid of R={jp.grid.r}, not on this R={grid.r} grid")
     if jp is None:
         if space is None:
             space = enumerate_partitions(data.l)
@@ -221,15 +225,6 @@ class DpmExactResult:
     post_sd: np.ndarray       # (L,)
 
 
-def _log_cluster_marginal(y: np.ndarray, v: np.ndarray, eta: float, tau2: float) -> float:
-    # y ~ N(eta * 1, diag(v) + tau2 * J), via the rank-one update
-    r = y - eta
-    s = float((1.0 / v).sum())
-    logdet = float(np.log(v).sum()) + math.log1p(tau2 * s)
-    quad = float((r * r / v).sum()) - tau2 * float((r / v).sum()) ** 2 / (1.0 + tau2 * s)
-    return -0.5 * len(y) * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad
-
-
 def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float,
               max_l: int = 8) -> DpmExactResult:
     """Exact DPM partition posterior and survey moments at fixed (eta, tau2).
@@ -238,29 +233,32 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float,
     the product of its clusters' closed-form marginal likelihoods; survey
     moments mix the conjugate within-cluster posteriors over partitions.
     Serves as the correctness oracle for :func:`dpm_gibbs`.
+
+    Every cluster term is read from the subset table at delta2 = 0, whose
+    A_S, ybar_S and q_S are the cluster's precision sums.  A cluster's
+    values N(eta, diag(V) + tau2 J) have, up to factors shared by every
+    partition, the log marginal -log(1 + tau2 A)/2 - [q + A (ybar - eta)^2
+    / (1 + tau2 A)]/2, and its DP prior factor is m * Gamma(|S|).
     """
     if data.l > max_l:
         raise DomainError(f"exact enumeration supports L <= {max_l}, got L={data.l}")
     if tau2 <= 0:
         raise DomainError("tau2 must be > 0")
+    if m <= 0:
+        raise DomainError(f"concentration must be > 0, got {m}")
     space = enumerate_partitions(data.l)
-    logw = np.empty(space.g)
-    means = np.empty((space.g, data.l))
-    variances = np.empty((space.g, data.l))
-    for gi, p in enumerate(space.partitions):
-        lw = math.log(dpm_partition_prior(p, m))
-        for members in p.clusters:
-            mem = list(members)
-            yc, vc = data.y_hat[mem], data.v[mem]
-            lw += _log_cluster_marginal(yc, vc, eta, tau2)
-            prec = 1.0 / tau2 + float((1.0 / vc).sum())
-            mc = (eta / tau2 + float((yc / vc).sum())) / prec
-            for i in mem:
-                means[gi, i] = mc
-                variances[gi, i] = 1.0 / prec
-        logw[gi] = lw
+    t = kernels.subset_table(data.y_hat, data.v, np.zeros(1))
+    a, ybar, q = t.a[:, 0], t.ybar[:, 0], t.q[:, 0]
+    eta_c, ta = eta - t.shift, 1.0 + tau2 * a
+    lgam = np.array([math.lgamma(bin(s).count("1") or 1) for s in range(a.shape[0])])
+    score = math.log(m) + lgam - 0.5 * np.log(ta) - 0.5 * (q + a * (ybar - eta_c) ** 2 / ta)
+    score[0] = 0.0   # the empty set pads partitions with fewer than L clusters
+    logw = score[space.cluster_masks].sum(axis=1)
     w = np.exp(logw - logw.max())
     w /= w.sum()
+    # each source's conjugate cluster posterior, (G, L), about the table's shift
+    means = ((eta_c + tau2 * a * ybar) / ta)[space.member_masks]
+    variances = (tau2 / ta)[space.member_masks]
     e1 = w @ means
-    e2 = w @ (variances + means ** 2)
-    return DpmExactResult(space=space, probs=w, post_mean=e1, post_sd=np.sqrt(e2 - e1 ** 2))
+    sd = np.sqrt(w @ (variances + (means - e1) ** 2))
+    return DpmExactResult(space=space, probs=w, post_mean=t.shift + e1, post_sd=sd)

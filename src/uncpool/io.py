@@ -196,6 +196,18 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _markdown_survey_table(rows) -> list[str]:
+    out = ["| Survey | ObsProp | PostMean | ObsSE | PostSD | 95% Cred Int |",
+           "|---|---|---|---|---|---|"]
+    for row in rows:
+        out.append(
+            f"| {row['label']} | {_fmt(row['observed'])} | {_fmt(row['post_mean'])} "
+            f"| {_fmt(row['observed_se'])} | {_fmt(row['post_sd'])} "
+            f"| ({_fmt(row['ci_lower'])}, {_fmt(row['ci_upper'])}) |"
+        )
+    return out
+
+
 def render_markdown(doc: ReportDocument) -> str:
     """Human-readable tables mirroring the summary layout."""
     out = [f"# uncpool report ({doc.kind})", ""]
@@ -204,14 +216,7 @@ def render_markdown(doc: ReportDocument) -> str:
     out.append("")
     summary = doc.results.get("summary")
     if summary:
-        out.append("| Survey | ObsProp | PostMean | ObsSE | PostSD | 95% Cred Int |")
-        out.append("|---|---|---|---|---|---|")
-        for row in summary["rows"]:
-            out.append(
-                f"| {row['label']} | {_fmt(row['observed'])} | {_fmt(row['post_mean'])} "
-                f"| {_fmt(row['observed_se'])} | {_fmt(row['post_sd'])} "
-                f"| ({_fmt(row['ci_lower'])}, {_fmt(row['ci_upper'])}) |"
-            )
+        out += _markdown_survey_table(summary["rows"])
         pa = summary.get("pool_all")
         if pa:
             out.append(f"| pool-all |  | {_fmt(pa['mean'])} |  | {_fmt(pa['sd'])} "
@@ -232,14 +237,7 @@ def render_markdown(doc: ReportDocument) -> str:
     dpm = doc.results.get("dpm")
     if dpm:
         out.append("")
-        out.append("| Survey | ObsProp | PostMean | ObsSE | PostSD | 95% Cred Int |")
-        out.append("|---|---|---|---|---|---|")
-        for row in dpm["rows"]:
-            out.append(
-                f"| {row['label']} | {_fmt(row['observed'])} | {_fmt(row['post_mean'])} "
-                f"| {_fmt(row['observed_se'])} | {_fmt(row['post_sd'])} "
-                f"| ({_fmt(row['ci_lower'])}, {_fmt(row['ci_upper'])}) |"
-            )
+        out += _markdown_survey_table(dpm["rows"])
     out.append("")
     return "\n".join(out)
 

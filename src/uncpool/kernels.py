@@ -10,8 +10,9 @@ misfit
 where B_S and C_S are the cluster sums of w_i*y_i and w_i*y_i^2.
 :func:`subset_table` computes (A_S, ybar_S, q_S) once for every subset of
 the sources on the whole grid.  The partition misfit, the mixture moments,
-the posterior draws and complete pooling all read that one table;
-``model.py`` keeps the scalar per-cluster formulas as the reference.
+the posterior draws, complete pooling and the exact DPM oracle all read that
+one table; ``model.py`` keeps the scalar per-cluster formulas as the
+reference.
 
 C - B^2/A cancels catastrophically when the estimates share a large offset,
 so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
@@ -21,7 +22,10 @@ so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,7 +85,7 @@ def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet-process-mixture collapsed Gibbs chain.
+# Dirichlet-process-mixture collapsed Gibbs chain (Neal 2000, Algorithm 3).
 #
 # The chain consumes pre-drawn variates, so the seed alone fixes its
 # trajectory: uniforms (T, L) drive the assignment choices, norm_phi (T, L)
@@ -94,107 +98,75 @@ def dpm_chain(y, v, m, eta_b, s_b, phi1, phi2, eta0, tau20,
               update_eta, update_tau2, burn, thin,
               uniforms, norm_phi, norm_eta, gammas):
     T, L = uniforms.shape
-    kept = 0
-    for t in range(burn, T):
-        if (t - burn) % thin == 0:
-            kept += 1
-    z_hist = np.empty((kept, L), dtype=np.int64)
-    theta_hist = np.empty((kept, L))
-    eta_hist = np.empty(kept)
-    tau2_hist = np.empty(kept)
+    y, v = y.tolist(), v.tolist()
+    keep = range(burn, T, thin)
+    z_hist = np.empty((len(keep), L), dtype=np.int64)
+    theta_hist = np.empty((len(keep), L))
+    eta_hist = np.empty(len(keep))
+    tau2_hist = np.empty(len(keep))
 
-    z = np.arange(L)
-    eta = eta0
-    tau2 = tau20
-    counts = np.empty(L, dtype=np.int64)
-    remap = np.empty(L, dtype=np.int64)
-    logw = np.empty(L + 1)
-    prob = np.empty(L + 1)
-    phi = np.empty(L)
-    row = 0
-    log2pi = np.log(2.0 * np.pi)
+    # cluster c is the ascending member list clusters[c]
+    clusters = [[i] for i in range(L)]
+    eta, tau2 = eta0, tau20
+    log_m, log2pi = math.log(m), math.log(2.0 * math.pi)
+
+    def posterior(members):
+        """Mean and variance of a cluster's value given its members."""
+        prec, num = 1.0 / tau2, eta / tau2
+        for j in members:
+            prec += 1.0 / v[j]
+            num += y[j] / v[j]
+        return num / prec, 1.0 / prec
 
     for t in range(T):
+        u = uniforms[t].tolist()
         for i in range(L):
-            # detach i and compact the remaining labels
-            z[i] = -1
-            for k in range(L):
-                counts[k] = 0
-            for j in range(L):
-                if z[j] >= 0:
-                    counts[z[j]] += 1
-            k = 0
-            for c in range(L):
-                if counts[c] > 0:
-                    remap[c] = k
-                    k += 1
-            for j in range(L):
-                if z[j] >= 0:
-                    z[j] = remap[z[j]]
-            # posterior predictive weight for each existing cluster
-            for c in range(k):
-                prec = 1.0 / tau2
-                num = eta / tau2
-                n_c = 0
-                for j in range(L):
-                    if z[j] == c:
-                        prec += 1.0 / v[j]
-                        num += y[j] / v[j]
-                        n_c += 1
-                mc = num / prec
-                sc = 1.0 / prec
+            # detach i; deleting an emptied cluster shifts later labels down
+            c = next(c for c, members in enumerate(clusters) if i in members)
+            clusters[c].remove(i)
+            if not clusters[c]:
+                del clusters[c]
+            # posterior predictive weight for each existing cluster, then a new one
+            logw = []
+            for members in clusters:
+                mc, sc = posterior(members)
                 tot = sc + v[i]
-                logw[c] = np.log(n_c) - 0.5 * (log2pi + np.log(tot)) \
-                    - 0.5 * (y[i] - mc) ** 2 / tot
+                logw.append(math.log(len(members)) - 0.5 * (log2pi + math.log(tot))
+                            - 0.5 * (y[i] - mc) ** 2 / tot)
             tot = tau2 + v[i]
-            logw[k] = np.log(m) - 0.5 * (log2pi + np.log(tot)) \
-                - 0.5 * (y[i] - eta) ** 2 / tot
-            mx = logw[0]
-            for c in range(1, k + 1):
-                if logw[c] > mx:
-                    mx = logw[c]
-            tot = 0.0
-            for c in range(k + 1):
-                prob[c] = np.exp(logw[c] - mx)
-                tot += prob[c]
-            target = uniforms[t, i] * tot
-            acc = 0.0
-            pick = k
-            for c in range(k + 1):
-                acc += prob[c]
-                if acc >= target:
-                    pick = c
-                    break
-            z[i] = pick
+            logw.append(log_m - 0.5 * (log2pi + math.log(tot)) - 0.5 * (y[i] - eta) ** 2 / tot)
+            mx = max(logw)
+            acc = list(accumulate([math.exp(lw - mx) for lw in logw]))
+            target = u[i] * acc[-1]
+            pick = next((c for c, a in enumerate(acc) if a >= target), len(clusters))
+            if pick < len(clusters):
+                insort(clusters[pick], i)
+            else:
+                clusters.append([i])
         # cluster values, base mean, base variance
-        k = 0
-        for j in range(L):
-            if z[j] + 1 > k:
-                k = z[j] + 1
-        for c in range(k):
-            prec = 1.0 / tau2
-            num = eta / tau2
-            for j in range(L):
-                if z[j] == c:
-                    prec += 1.0 / v[j]
-                    num += y[j] / v[j]
-            phi[c] = num / prec + np.sqrt(1.0 / prec) * norm_phi[t, c]
+        phi = []
+        for members, n in zip(clusters, norm_phi[t].tolist()):
+            mc, sc = posterior(members)
+            phi.append(mc + math.sqrt(sc) * n)
+        k = len(clusters)
         if update_eta:
-            prec = 1.0 / s_b + k / tau2
-            num = eta_b / s_b
-            for c in range(k):
-                num += phi[c] / tau2
-            eta = num / prec + np.sqrt(1.0 / prec) * norm_eta[t]
+            prec, num = 1.0 / s_b + k / tau2, eta_b / s_b
+            for p in phi:
+                num += p / tau2
+            eta = num / prec + math.sqrt(1.0 / prec) * float(norm_eta[t])
         if update_tau2:
             rate = phi2 / 2.0
-            for c in range(k):
-                rate += 0.5 * (phi[c] - eta) ** 2
-            tau2 = rate / gammas[t, k - 1]
-        if t >= burn and (t - burn) % thin == 0:
-            for j in range(L):
-                z_hist[row, j] = z[j]
-                theta_hist[row, j] = phi[z[j]]
+            for p in phi:
+                rate += 0.5 * (p - eta) ** 2
+            tau2 = rate / float(gammas[t, k - 1])
+        if t in keep:
+            row = (t - burn) // thin
+            z = [0] * L
+            for c, members in enumerate(clusters):
+                for j in members:
+                    z[j] = c
+            z_hist[row] = z
+            theta_hist[row] = [phi[c] for c in z]
             eta_hist[row] = eta
             tau2_hist[row] = tau2
-            row += 1
     return z_hist, theta_hist, eta_hist, tau2_hist

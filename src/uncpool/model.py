@@ -59,6 +59,13 @@ class SurveyData:
         if not (np.all(np.isfinite(self.v)) and np.all(self.v > 0)):
             raise DomainError("sampling variances must be finite and > 0")
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the arrays inside a tuple
+        if not isinstance(other, SurveyData):
+            return NotImplemented
+        return (self.labels == other.labels and self.source_form == other.source_form
+                and np.array_equal(self.y_hat, other.y_hat) and np.array_equal(self.v, other.v))
+
     @property
     def l(self) -> int:
         return self.y_hat.shape[0]

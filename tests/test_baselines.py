@@ -55,6 +55,19 @@ def test_pool_all_restricted_space_consistency():
     assert not np.allclose(weights, marginal_delta2(jp_full), atol=1e-4)
 
 
+def test_pool_all_rejects_jp_from_another_grid():
+    data = make_dixie(1.0)
+    jp = evaluate_joint(data, enumerate_partitions(3), build_grid(300))
+    with pytest.raises(DomainError, match="grid"):
+        pool_all(data, build_grid(200), jp=jp)
+
+
+@pytest.mark.parametrize("b", [0, -3])
+def test_pool_all_rejects_bad_draw_count(b):
+    with pytest.raises(DomainError, match="draw count"):
+        pool_all(make_dixie(1.0), build_grid(100), b=b)
+
+
 def test_pool_all_interval_reproducible():
     data = make_dixie(1.0)
     grid = build_grid(200)
@@ -158,6 +171,60 @@ def test_dpm_exact_symmetry_under_relabeling():
     # surveys 1 and 3 are exchangeable here
     assert by_notation["{1,2}|{3}"] == pytest.approx(by_notation["{1}|{2,3}"], rel=1e-10)
     assert res.post_mean[0] == pytest.approx(res.post_mean[2], abs=1e-12)
+
+
+def brute_force_dpm(data, eta, tau2, m):
+    """Partition posterior and survey moments from dense per-cluster normals."""
+    from scipy.stats import multivariate_normal
+
+    space = enumerate_partitions(data.l)
+    logw = np.empty(space.g)
+    means = np.empty((space.g, data.l))
+    variances = np.empty((space.g, data.l))
+    for g, p in enumerate(space.partitions):
+        logw[g] = math.log(dpm_partition_prior(p, m))
+        for members in p.clusters:
+            mem = list(members)
+            cov = np.diag(data.v[mem]) + tau2
+            logw[g] += multivariate_normal.logpdf(data.y_hat[mem], mean=np.full(len(mem), eta),
+                                                  cov=cov)
+            prec = 1.0 / tau2 + (1.0 / data.v[mem]).sum()
+            means[g, mem] = (eta / tau2 + (data.y_hat[mem] / data.v[mem]).sum()) / prec
+            variances[g, mem] = 1.0 / prec
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    mean = w @ means
+    return w, mean, np.sqrt(w @ (variances + (means - mean) ** 2))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5])
+def test_dpm_exact_matches_dense_brute_force(l):
+    rng = np.random.default_rng(20 + l)
+    data = SurveyData([f"s{i}" for i in range(l)], rng.normal(0.3, 0.1, size=l),
+                      rng.uniform(0.01, 0.1, size=l) ** 2)
+    eta, tau2, m = 0.28, 0.004, 1.5
+    probs, mean, sd = brute_force_dpm(data, eta, tau2, m)
+    res = dpm_exact(data, eta=eta, tau2=tau2, m=m)
+    assert np.max(np.abs(res.probs - probs)) < 1e-12
+    assert np.max(np.abs(res.post_mean - mean)) < 1e-12
+    assert np.max(np.abs(res.post_sd - sd)) < 1e-12
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_dpm_exact_translation_invariance(shift):
+    data = make_dixie(1.0)
+    moved = SurveyData(data.labels, data.y_hat + shift, data.v)
+    a = dpm_exact(data, eta=0.31, tau2=0.05 ** 2, m=1.0)
+    b = dpm_exact(moved, eta=0.31 + shift, tau2=0.05 ** 2, m=1.0)
+    assert np.max(np.abs(a.probs - b.probs)) < 1e-8
+    assert np.max(np.abs(a.post_mean - (b.post_mean - shift))) < 1e-8
+    assert np.max(np.abs(a.post_sd - b.post_sd)) < 1e-8
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0])
+def test_dpm_exact_rejects_bad_concentration(m):
+    with pytest.raises(DomainError):
+        dpm_exact(make_dixie(1.0), eta=0.31, tau2=0.0025, m=m)
 
 
 def test_dpm_exact_enumeration_bound():

@@ -16,6 +16,15 @@ def random_data(rng, l):
     )
 
 
+def test_survey_data_equality():
+    a = SurveyData(["a", "b"], [0.2, 0.5], [0.01, 0.02])
+    assert (a == SurveyData(["a", "b"], [0.2, 0.5], [0.01, 0.02])) is True
+    assert (a == SurveyData(["a", "b"], [0.2, 0.5], [0.01, 0.03])) is False
+    assert (a == SurveyData(["a", "c"], [0.2, 0.5], [0.01, 0.02])) is False
+    assert (a == SurveyData(["a", "b"], [0.2, 0.5], [0.01, 0.02], source_form="binomial")) is False
+    assert a != "a"
+
+
 # ---------------------------------------------------------------------------
 # shrinkage and cluster statistics
 # ---------------------------------------------------------------------------
