@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import DeltaGrid, JointGridPosterior, evaluate_joint, marginal_delta2
+from .grid import DeltaGrid, JointGridPosterior, _draw_cells, evaluate_joint, marginal_delta2
 from .model import SurveyData
 from .partitions import Partition, PartitionSpace, enumerate_partitions
 
@@ -62,7 +62,7 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     e2 = float((weights * (var_c + mean_c ** 2)).sum())
     sd = math.sqrt(max(e2 - mean * mean, 0.0))
     rng = np.random.default_rng(seed)
-    cells = rng.choice(grid.r, size=b, p=weights / weights.sum())
+    cells = _draw_cells(weights, b, rng)   # overwrites weights
     draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
     lo, hi = np.quantile(draws, [0.025, 0.975])
     return PoolAllPosterior(mean=shift + mean, sd=sd,
@@ -193,14 +193,12 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
         gammas[:, k - 1] = rng.gamma(res["phi1"] / 2.0 + k / 2.0, 1.0, size=T)
 
     z, theta, eta, tau2 = kernels.dpm_chain(
-        data.y_hat, data.v, res["m"], res["eta_b"], res["s_b"], res["phi1"],
-        res["phi2"], eta0, tau20,
+        data.y_hat, data.v, res["m"], res["eta_b"], res["s_b"], res["phi2"], eta0, tau20,
         cfg.fixed_eta is None, cfg.fixed_tau2 is None,
         cfg.burn_in, cfg.thin,
         uniforms, norm_phi, norm_eta, gammas,
     )
-    lo = np.quantile(theta, 0.025, axis=0)
-    hi = np.quantile(theta, 0.975, axis=0)
+    lo, hi = np.quantile(theta, [0.025, 0.975], axis=0)
     return DpmDraws(
         config=cfg,
         resolved=res,

@@ -174,6 +174,22 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
                     np.broadcast_to(p.assignment, shape), cols, rng)
 
 
+def _draw_cells(mass: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``b`` flat indices with probability proportional to ``mass``.
+
+    Runs exactly what ``rng.choice(mass.size, b, p=mass / mass.sum())`` runs
+    after its argument checks (inverse CDF: cumulative sum, scaled by its
+    last entry, searched with uniforms), so the draws are bit-identical to
+    it.  The checks are skipped because the masses come from a lattice that
+    ``evaluate_joint`` has already checked to be finite.  ``mass`` is
+    overwritten with the CDF.
+    """
+    mass /= mass.sum()
+    np.cumsum(mass, out=mass)
+    mass /= mass[-1]
+    return mass.searchsorted(rng.random(b), side="right")
+
+
 def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> PosteriorDraws:
     """Draw B values of mu by ancestral sampling from the grid posterior.
 
@@ -184,9 +200,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     rng = np.random.default_rng(seed)
-    prob = np.exp(jp.log_mass).ravel()
-    prob /= prob.sum()
-    cells = rng.choice(prob.shape[0], size=b, p=prob)
+    cells = _draw_cells(np.exp(jp.log_mass).ravel(), b, rng)
     g_idx, j_idx = np.unravel_index(cells, jp.log_mass.shape)
     mu = _draw_mu(data, jp.table, jp.space.member_masks[g_idx],
                   jp.space.assignment_array[g_idx], j_idx, rng)
@@ -293,14 +307,13 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
     conventional 1..5 labels attached when L = 3.
     """
     mean, sd = exact_mixture_moments(data, jp)
-    lo = np.quantile(draws.mu, 0.025, axis=0)
-    hi = np.quantile(draws.mu, 0.975, axis=0)
+    lo, hi = np.quantile(draws.mu, [0.025, 0.975], axis=0)
     pg = marginal_g(jp)
     probs = []
-    for g, p in enumerate(jp.space.partitions):
-        if pg[g] >= threshold:
-            label = display_label_l3(p) if data.l == 3 else None
-            probs.append(PartitionMass(notation=p.notation(), prob=float(pg[g]), label=label))
+    for g in np.flatnonzero(pg >= threshold):
+        p = jp.space.partitions[g]
+        label = display_label_l3(p) if data.l == 3 else None
+        probs.append(PartitionMass(notation=p.notation(), prob=float(pg[g]), label=label))
     return SummaryTable(
         labels=data.labels,
         observed=tuple(float(x) for x in data.y_hat),

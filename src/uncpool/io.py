@@ -79,9 +79,10 @@ def logit_transform(y: int, n: int) -> tuple[float, float]:
 
 
 def _read_lines(source) -> list[str]:
+    """Lines of a path or text stream, without a leading UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8").splitlines()
-    return source.read().splitlines()
+        return Path(source).read_text(encoding="utf-8-sig").splitlines()
+    return source.read().removeprefix("\ufeff").splitlines()
 
 
 def parse_input(source) -> SurveyData:
@@ -111,12 +112,16 @@ def parse_input(source) -> SurveyData:
     if len(rows) == 1:
         raise ParseError("no records")
     records = []
+    first_seen: dict[str, int] = {}
     for line_no, row in rows[1:]:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=line_no)
         label = row[0]
         if not label:
             raise ParseError("empty label", line=line_no)
+        if label in first_seen:
+            raise ParseError(f"label {label!r} repeats line {first_seen[label]}", line=line_no)
+        first_seen[label] = line_no
         try:
             if form == "summary":
                 rec = InputRecord(label=label, estimate=float(row[1]), se=float(row[2]))

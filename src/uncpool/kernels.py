@@ -91,10 +91,11 @@ def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
 # trajectory: uniforms (T, L) drive the assignment choices, norm_phi (T, L)
 # the cluster-value draws, norm_eta (T,) the base-mean draw, and
 # gammas[t, k-1] ~ Gamma(phi1/2 + k/2, 1) the precision draw used when k
-# clusters are realized at sweep t.
+# clusters are realized at sweep t.  The hyperprior shape phi1 enters only
+# through these pre-drawn shapes, so the chain itself does not take it.
 # ---------------------------------------------------------------------------
 
-def dpm_chain(y, v, m, eta_b, s_b, phi1, phi2, eta0, tau20,
+def dpm_chain(y, v, m, eta_b, s_b, phi2, eta0, tau20,
               update_eta, update_tau2, burn, thin,
               uniforms, norm_phi, norm_eta, gammas):
     T, L = uniforms.shape

@@ -9,6 +9,7 @@ in the growth string, which gives a total, scale-independent order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,12 +101,77 @@ class Partition:
         return cls(tuple(assign))
 
 
+class _PartitionSequence(Sequence):
+    """Read-only sequence of partitions over a (G, L) array of growth strings.
+
+    Behaves like a tuple of :class:`Partition` (indexing, slices, iteration,
+    equality) but builds each ``Partition`` only when it is asked for.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return Partition(tuple(self.array[i].tolist()))
+
+    def __iter__(self):
+        return (Partition(tuple(a)) for a in self.array.tolist())
+
+    def __contains__(self, p) -> bool:
+        return self._find(p) is not None
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _PartitionSequence):
+            return np.array_equal(self.array, other.array)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.array.shape, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} partitions of {self.array.shape[1]}>"
+
+    def _find(self, p) -> int | None:
+        if not isinstance(p, Partition) or p.l != self.array.shape[1]:
+            return None
+        hits = np.flatnonzero((self.array == p.assignment).all(axis=1))
+        return int(hits[0]) if hits.size else None
+
+    def index(self, p) -> int:
+        g = self._find(p)
+        if g is None:
+            raise ValueError(f"{p!r} is not in the partition space")
+        return g
+
+
 @dataclass(frozen=True)
 class PartitionSpace:
-    """All partitions of {1..L} in lexicographic restricted-growth order."""
+    """All partitions of {1..L} in lexicographic restricted-growth order.
+
+    ``partitions`` may be given as any sequence of :class:`Partition`; it is
+    stored as a sequence backed by the (G, L) growth-string array, which the
+    numeric kernels read directly.
+    """
 
     l: int
-    partitions: tuple[Partition, ...]
+    partitions: Sequence[Partition]
+
+    def __post_init__(self):
+        if not isinstance(self.partitions, _PartitionSequence):
+            parts = tuple(self.partitions)
+            if any(p.l != self.l for p in parts):
+                raise DomainError(f"every partition of a space with L={self.l} "
+                                  f"needs {self.l} elements")
+            rows = np.array([p.assignment for p in parts], dtype=np.int64).reshape(-1, self.l)
+            rows.flags.writeable = False
+            object.__setattr__(self, "partitions", _PartitionSequence(rows))
 
     @property
     def g(self) -> int:
@@ -114,8 +180,8 @@ class PartitionSpace:
 
     @cached_property
     def assignment_array(self) -> np.ndarray:
-        """(G, L) int64 matrix of growth strings, for the numeric kernels."""
-        return np.array([p.assignment for p in self.partitions], dtype=np.int64)
+        """(G, L) int64 matrix of growth strings, for the numeric kernels (read-only)."""
+        return self.partitions.array
 
     @cached_property
     def d_array(self) -> np.ndarray:
@@ -145,23 +211,32 @@ class PartitionSpace:
         return self.partitions.index(p)
 
 
-def _growth_strings(l: int):
-    """Yield all restricted growth strings of length l, lexicographically."""
-    a = [0] * l
-    mx = [0] * l  # mx[i] = max(a[:i+1])
-    while True:
-        yield tuple(a)
-        # advance to the lexicographic successor
-        i = l - 1
-        while i > 0 and a[i] == mx[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        mx[i] = max(mx[i - 1], a[i])
-        for j in range(i + 1, l):
-            a[j] = 0
-            mx[j] = mx[i]
+def _growth_string_array(l: int) -> np.ndarray:
+    """(B(l), l) array of all restricted growth strings of length l, lexicographically.
+
+    A string whose largest value is m has the children that append 0..m+1
+    (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H).  Each step repeats every parent
+    row once per child and numbers the children within each group, so
+    parents in lexicographic order with ascending children stay in order.
+    Only the per-step parent links and new columns are kept; the full rows
+    are gathered once at the end.
+    """
+    links = []                                   # (parent row, new value) per step
+    top = np.zeros(1, dtype=np.int64)            # largest value of each string
+    for _ in range(1, l):
+        fanout = top + 2
+        parent = np.repeat(np.arange(top.shape[0]), fanout)
+        value = np.arange(parent.shape[0]) - np.repeat(np.cumsum(fanout) - fanout, fanout)
+        links.append((parent, value))
+        top = np.maximum(top[parent], value)
+    out = np.zeros((top.shape[0], l), dtype=np.int64)
+    row = np.arange(top.shape[0])
+    for i in range(l - 1, 0, -1):
+        parent, value = links[i - 1]
+        out[:, i] = value[row]
+        row = parent[row]
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_partitions(l: int, max_l: int = DEFAULT_MAX_L) -> PartitionSpace:
@@ -178,16 +253,17 @@ def enumerate_partitions(l: int, max_l: int = DEFAULT_MAX_L) -> PartitionSpace:
     Returns
     -------
     PartitionSpace
-        All B(l) partitions in lexicographic restricted-growth order.
-        Pure function of ``l``: repeated calls give identical output.
+        All B(l) partitions in lexicographic restricted-growth order, held
+        as one growth-string array; ``Partition`` objects are built only
+        when ``space.partitions`` is indexed or iterated.  Pure function of
+        ``l``: repeated calls give identical output.
     """
     if l < 1 or l > max_l:
         raise DomainError(
             f"source count must satisfy 1 <= L <= {max_l} "
             f"(Bell({max_l}) = {bell_number(max_l)} partitions is the enumeration bound); got {l}"
         )
-    parts = tuple(Partition(a) for a in _growth_strings(l))
-    return PartitionSpace(l=l, partitions=parts)
+    return PartitionSpace(l=l, partitions=_PartitionSequence(_growth_string_array(l)))
 
 
 # Conventional 1..5 numbering used in three-source reports.  Keys are growth

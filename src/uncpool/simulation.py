@@ -9,15 +9,14 @@ results are independent of execution order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import DomainError
-from .grid import build_grid, evaluate_joint, exact_mixture_moments, sample_mu
+from .grid import DeltaGrid, build_grid, evaluate_joint, exact_mixture_moments, sample_mu
 from .model import SurveyData
-from .partitions import display_label_l3, enumerate_partitions
+from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
 
 #: Separation step used in the reference study; scenarios take 0, 4 and 8
 #: multiples of this constant.
@@ -66,6 +65,10 @@ def generate_replicate(s: SimScenario, rep_index: int) -> SurveyData:
     if not 0 <= rep_index <= s.reps:
         raise DomainError(f"rep_index {rep_index} outside 0..{s.reps}")
     data_ss, _ = _rep_seeds(s.base_seed, rep_index)
+    return _replicate_data(s, data_ss)
+
+
+def _replicate_data(s: SimScenario, data_ss: np.random.SeedSequence) -> SurveyData:
     rng = np.random.default_rng(data_ss)
     y = rng.normal(s.truth, np.sqrt(s.variances))
     return SurveyData(labels=("survey_1", "survey_2", "survey_3"), y_hat=y, v=s.variances)
@@ -78,25 +81,52 @@ def sd_reduction(post_sd: float, obs_se: float) -> float:
     return 100.0 * (obs_se - post_sd) / obs_se
 
 
-def _run_replicate(s: SimScenario, rep_index: int) -> dict:
-    data = generate_replicate(s, rep_index)
-    _, mu_seed = _rep_seeds(s.base_seed, rep_index)
-    space = enumerate_partitions(3)
-    jp = evaluate_joint(data, space, build_grid(s.r))
+@dataclass(frozen=True)
+class _Shared:
+    """What every replicate of a scenario reuses: the L=3 space, the grid, and
+    the permutation from enumeration order to the conventional 1..5 labels."""
+
+    space: PartitionSpace
+    grid: DeltaGrid
+    order: np.ndarray
+
+    @classmethod
+    def build(cls, s: SimScenario) -> "_Shared":
+        space = enumerate_partitions(3)
+        order = np.argsort([display_label_l3(p) for p in space.partitions])
+        return cls(space=space, grid=build_grid(s.r), order=order)
+
+
+def _run_replicate(s: SimScenario, rep_index: int, shared: _Shared | None = None) -> dict:
+    shared = shared or _Shared.build(s)
+    data_ss, mu_seed = _rep_seeds(s.base_seed, rep_index)
+    data = _replicate_data(s, data_ss)
+    jp = evaluate_joint(data, shared.space, shared.grid)
     mean, sd = exact_mixture_moments(data, jp)
     draws = sample_mu(data, jp, s.b, mu_seed)
-    lo = np.quantile(draws.mu, 0.025, axis=0)
-    hi = np.quantile(draws.mu, 0.975, axis=0)
+    lo, hi = np.quantile(draws.mu, [0.025, 0.975], axis=0)
     pg = np.exp(jp.log_mass).sum(axis=1)
-    # reorder canonical enumeration to the conventional 1..5 labels
-    order = np.argsort([display_label_l3(p) for p in space.partitions])
     truth = s.truth
     return {
-        "p_g": pg[order],
+        "p_g": pg[shared.order],
         "post_mean": mean,
         "post_sd": sd,
         "covered": ((lo <= truth) & (truth <= hi)).astype(float),
     }
+
+
+# A worker process's scenario and shared inputs, set once by _init_worker.
+_worker_state: tuple[SimScenario, _Shared] | None = None
+
+
+def _init_worker(s: SimScenario) -> None:
+    global _worker_state
+    _worker_state = (s, _Shared.build(s))
+
+
+def _run_worker_replicate(rep_index: int) -> dict:
+    s, shared = _worker_state
+    return _run_replicate(s, rep_index, shared)
 
 
 @dataclass(frozen=True)
@@ -131,10 +161,14 @@ def run_scenario(s: SimScenario, n_jobs: int = 1) -> SimReport:
     the scenario (including base_seed), regardless of ``n_jobs``.
     """
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
-            records = list(ex.map(_run_replicate, [s] * s.reps, range(s.reps), chunksize=16))
+        # imported here: loading the process pool costs every CLI start ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_init_worker,
+                                 initargs=(s,)) as ex:
+            records = list(ex.map(_run_worker_replicate, range(s.reps), chunksize=16))
     else:
-        records = [_run_replicate(s, i) for i in range(s.reps)]
+        shared = _Shared.build(s)
+        records = [_run_replicate(s, i, shared) for i in range(s.reps)]
     p_g = np.stack([r["p_g"] for r in records])
     mean = np.stack([r["post_mean"] for r in records])
     sd = np.stack([r["post_sd"] for r in records])

@@ -270,6 +270,45 @@ def test_draws_are_deterministic_given_seed(dixie_panel1):
     assert not np.array_equal(a.mu, c.mu)
 
 
+@pytest.mark.parametrize("l", [3, 5])
+def test_cell_draws_equal_generator_choice(l):
+    # inverse-CDF cell draws reproduce Generator.choice(p=...) index for index
+    data = small_data(np.random.default_rng(40 + l), l)
+    jp = evaluate_joint(data, enumerate_partitions(l), build_grid(150))
+    draws = sample_mu(data, jp, 3000, seed=11)
+    p = np.exp(jp.log_mass).ravel()
+    p /= p.sum()
+    expect = np.random.default_rng(11).choice(p.size, 3000, p=p)
+    assert np.array_equal(draws.g_indices * jp.grid.r + np.searchsorted(
+        jp.grid.deltas2, draws.delta2_values), expect)
+
+
+def test_enumeration_and_lattice_create_no_partition(monkeypatch):
+    made = []
+    check = Partition.__post_init__
+    monkeypatch.setattr(Partition, "__post_init__", lambda p: made.append(p) or check(p))
+    data = small_data(np.random.default_rng(8), 8)
+    space = enumerate_partitions(8)
+    jp = evaluate_joint(data, space, build_grid(20))
+    draws = sample_mu(data, jp, 200, seed=0)
+    exact_mixture_moments(data, jp)
+    assert made == []
+    table = summarize(data, jp, draws, threshold=1e-3)
+    assert 0 < len(made) == len(table.partition_probs) < space.g
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-3, 0.5])
+def test_summarize_lists_what_a_loop_lists(threshold):
+    data = small_data(np.random.default_rng(3), 5)
+    jp = evaluate_joint(data, enumerate_partitions(5), build_grid(200))
+    table = summarize(data, jp, sample_mu(data, jp, 100, seed=0), threshold=threshold)
+    pg = marginal_g(jp)
+    expect = [(p.notation(), float(pg[g])) for g, p in enumerate(jp.space.partitions)
+              if pg[g] >= threshold]
+    assert [(pm.notation, pm.prob) for pm in table.partition_probs] == expect
+    assert len(expect) == {0.0: 52, 1e-3: 5, 0.5: 1}[threshold]
+
+
 def test_drawn_cells_exist_in_grid_support(dixie_panel1):
     jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(64))
     draws = sample_mu(dixie_panel1, jp, 500, seed=3)

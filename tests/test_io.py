@@ -125,6 +125,25 @@ def test_parse_from_path(tmp_path):
     assert parse_input(str(f)).labels == ("A",)
 
 
+def test_parse_ignores_byte_order_mark(tmp_path):
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbflabel,estimate,se\nA,0.1,0.05\nB,0.2,0.05\n")
+    assert parse_input(f).labels == ("A", "B")
+    assert parse_input(io.StringIO("\ufefflabel,cases,total\nA,5,10\n")).labels == ("A",)
+    # only a leading mark is dropped; one inside a label is kept
+    assert parse_input(io.StringIO("label,estimate,se\n\ufeffA,0.1,0.05\n")).labels == ("\ufeffA",)
+
+
+def test_parse_rejects_repeated_label():
+    src = io.StringIO("label,estimate,se\nA,0.1,0.05\n\nB,0.2,0.05\nA,0.3,0.05\n")
+    with pytest.raises(ParseError, match="line 5: label 'A' repeats line 2") as err:
+        parse_input(src)
+    assert err.value.line == 5
+    # labels are compared after whitespace stripping
+    with pytest.raises(ParseError, match="line 3"):
+        parse_input(io.StringIO("label,cases,total\nA,5,10\n A ,6,10\n"))
+
+
 def test_binomial_and_summary_ingestion_agree(tmp_path):
     # the same records fed through both forms give the same analysis
     bin_file = tmp_path / "counts.csv"

@@ -66,13 +66,13 @@ def _chain_inputs(seed=4, t=400, l=3):
     gammas = np.empty((t, l))
     for k in range(1, l + 1):
         gammas[:, k - 1] = rng.gamma(1.0 + k / 2.0, 1.0, size=t)
-    return (y, v, 3.0, 0.31, 0.011, 2.0, 0.0075, 0.31, 0.00375,
+    return (y, v, 3.0, 0.31, 0.011, 0.0075, 0.31, 0.00375,
             True, True, 100, 1, uniforms, norm_phi, norm_eta, gammas)
 
 
 def test_dpm_chain_thinning_and_shapes():
     args = list(_chain_inputs(t=250))
-    args[12] = 3  # thin
+    args[11] = 3  # thin
     z, th, eta, tau = dpm_chain(*args)
     assert z.shape == (50, 3) and th.shape == (50, 3)
     assert eta.shape == (50,) and tau.shape == (50,)

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from uncpool import DomainError, Partition, bell_number, display_label_l3, enumerate_partitions
+from uncpool import (DomainError, Partition, PartitionSpace, bell_number, display_label_l3,
+                     enumerate_partitions)
 
 
 def bell_oracle(n: int) -> int:
@@ -11,6 +13,24 @@ def bell_oracle(n: int) -> int:
     for m in range(n):
         b.append(sum(math.comb(m, k) * b[k] for k in range(m + 1)))
     return b[n]
+
+
+def growth_strings(l: int):
+    """Independent enumeration: yield restricted growth strings by lexicographic successor."""
+    a = [0] * l
+    mx = [0] * l  # mx[i] = max(a[:i+1])
+    while True:
+        yield tuple(a)
+        i = l - 1
+        while i > 0 and a[i] == mx[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        mx[i] = max(mx[i - 1], a[i])
+        for j in range(i + 1, l):
+            a[j] = 0
+            mx[j] = mx[i]
 
 
 @pytest.mark.parametrize("l,expected", [(1, 1), (3, 5), (11, 678570)])
@@ -107,3 +127,57 @@ def test_display_labels_l3():
 def test_display_labels_require_l3():
     with pytest.raises(DomainError):
         display_label_l3(Partition((0, 1)))
+
+
+@pytest.mark.parametrize("l", range(1, 10))
+def test_array_matches_growth_string_oracle(l):
+    space = enumerate_partitions(l)
+    a = space.assignment_array
+    assert a.dtype == np.int64 and a.shape == (bell_oracle(l), l)
+    assert a.tolist() == [list(t) for t in growth_strings(l)]
+    assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 7])
+def test_masks_and_counts_match_partition_objects(l):
+    space = enumerate_partitions(l)
+    parts = [Partition(t) for t in growth_strings(l)]
+    cluster = [[sum(1 << i for i in c) for c in p.clusters] + [0] * (l - p.d) for p in parts]
+    member = [[cluster[g][k] for k in p.assignment] for g, p in enumerate(parts)]
+    assert space.cluster_masks.tolist() == cluster
+    assert space.member_masks.tolist() == member
+    assert space.d_array.tolist() == [p.d for p in parts]
+
+
+def test_partitions_behave_like_the_tuple():
+    space = enumerate_partitions(4)
+    parts = tuple(Partition(t) for t in growth_strings(4))
+    seq = space.partitions
+    assert len(seq) == space.g == 15
+    assert tuple(seq) == parts
+    assert seq[0] == parts[0] and seq[-1] == parts[-1] and seq[7] == parts[7]
+    assert seq[np.int64(3)] == parts[3]
+    assert seq[2:9:3] == parts[2:9:3] and seq[::-1] == parts[::-1] and seq[20:] == ()
+    with pytest.raises(IndexError):
+        seq[15]
+    for g, p in enumerate(parts):
+        assert space.index_of(p) == g and p in seq
+    with pytest.raises(ValueError):
+        space.index_of(Partition((0, 1)))
+    assert Partition((0, 1, 2)) not in seq and (0, 0, 0, 0) not in seq
+    assert list(zip(seq, range(2))) == [(parts[0], 0), (parts[1], 1)]
+
+
+def test_spaces_compare_by_their_partitions():
+    assert enumerate_partitions(3) == enumerate_partitions(3)
+    assert enumerate_partitions(3) != enumerate_partitions(4)
+    assert hash(enumerate_partitions(3)) == hash(enumerate_partitions(3))
+    full = enumerate_partitions(3)
+    restricted = PartitionSpace(l=3, partitions=full.partitions[1:4])
+    assert restricted != full
+    assert restricted.g == 3
+    assert tuple(restricted.partitions) == full.partitions[1:4]
+    assert np.array_equal(restricted.member_masks, full.member_masks[1:4])
+    assert PartitionSpace(l=3, partitions=list(full.partitions)) == full
+    with pytest.raises(DomainError, match="L=3"):
+        PartitionSpace(l=3, partitions=(Partition((0, 1)),))
