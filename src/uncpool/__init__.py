@@ -19,10 +19,19 @@ from .model import (ClusterStats, ConditionalMoments, SurveyData, cluster_stats,
                     log_partition_likelihood, q_statistic, shrinkage)
 from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
                          enumerate_partitions)
-from .simulation import (DELTA_STEP, SimReport, SimScenario, generate_replicate,
-                         run_scenario, sd_reduction)
-
 __version__ = "0.1.0"
+
+# The simulation harness loads on first use, so CLI commands that do not
+# simulate skip importing it.
+_SIMULATION_NAMES = frozenset({"DELTA_STEP", "SimReport", "SimScenario",
+                               "generate_replicate", "run_scenario", "sd_reduction"})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION_NAMES:
+        from . import simulation
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Array backend of the numeric kernels; numpy is the only one.
 BACKEND = "numpy"

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import DeltaGrid, JointGridPosterior, _draw_cells, evaluate_joint, marginal_delta2
+from .grid import DeltaGrid, JointGridPosterior, _draw_cells, _solve, marginal_delta2
 from .model import SurveyData
-from .partitions import Partition, PartitionSpace, enumerate_partitions
+from .partitions import Partition, PartitionSpace, enumerate_partitions, growth_codes
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,17 @@ class PoolAllPosterior:
 
 
 def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
-             space: PartitionSpace | None = None,
              jp: JointGridPosterior | None = None) -> PoolAllPosterior:
     """Posterior of the common mean nu, mixing over the variance posterior.
 
     Conditional on delta2, nu is normal with precision-weighted mean
     sum(y_i/(V_i+delta2)) / sum(1/(V_i+delta2)) and variance
-    1/sum(1/(V_i+delta2)).  The mixture runs over the grid marginal of
-    delta2 from the partition-averaged posterior; mean and SD come from the
-    exact mixture, the 95% interval from ``b`` draws.  The conditional
-    moments are read from the full-set row of the subset table.
-
-    Pass ``space`` (or a precomputed ``jp``) to restrict the partitions the
-    delta2 marginal averages over, e.g. the single all-in-one partition.
+    1/sum(1/(V_i+delta2)).  The mixture runs over the delta2 marginal p(j)
+    of the partition-averaged posterior; mean and SD come from the exact
+    mixture, the 95% interval from ``b`` draws.  The conditional moments
+    are read from the full-set row of the subset table.  Without ``jp``,
+    only the table and the subset recursion are built; no partition is
+    enumerated.
     """
     if data.l < 2:
         raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
@@ -52,12 +50,11 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     if jp is not None and not np.array_equal(jp.grid.deltas2, grid.deltas2):
         raise DomainError(f"jp was built on a grid of R={jp.grid.r}, not on this R={grid.r} grid")
     if jp is None:
-        if space is None:
-            space = enumerate_partitions(data.l)
-        jp = evaluate_joint(data, space, grid)
-    weights = marginal_delta2(jp)
-    shift = jp.table.shift
-    mean_c, var_c = jp.table.ybar[-1], 1.0 / jp.table.a[-1]
+        table, *_, weights = _solve(data, grid)
+    else:
+        table, weights = jp.table, marginal_delta2(jp)
+    shift = table.shift
+    mean_c, var_c = table.ybar[-1], 1.0 / table.a[-1]
     mean = float((weights * mean_c).sum())
     e2 = float((weights * (var_c + mean_c ** 2)).sum())
     sd = math.sqrt(max(e2 - mean * mean, 0.0))
@@ -131,17 +128,18 @@ class DpmDraws:
     ci_upper: tuple[float, ...]
 
     def partition_frequencies(self, space: PartitionSpace) -> np.ndarray:
-        """Empirical partition probabilities aligned with ``space``."""
-        index = {p.assignment: i for i, p in enumerate(space.partitions)}
-        counts = np.zeros(space.g)
-        for row in self.assignments:
-            canon = []
-            remap: dict[int, int] = {}
-            for a in row:
-                if a not in remap:
-                    remap[a] = len(remap)
-                canon.append(remap[a])
-            counts[index[tuple(canon)]] += 1
+        """Empirical partition probabilities aligned with ``space``.
+
+        Each kept draw's labels are renumbered by first occurrence, which
+        turns them into the partition's growth string.
+        """
+        z = self.assignments
+        l = z.shape[1]
+        seen = z[:, :, None] == np.arange(l)                     # (T, L, L): label c at i
+        first = np.where(seen.any(axis=1), seen.argmax(axis=1), l)
+        rank = (first[:, None, :] < first[:, :, None]).sum(axis=2)   # labels seen before c
+        g = space.index_of_codes(growth_codes(np.take_along_axis(rank, z, axis=1)))
+        counts = np.bincount(g, minlength=space.g)
         return counts / counts.sum()
 
 

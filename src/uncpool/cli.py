@@ -10,11 +10,10 @@ import numpy as np
 
 from .baselines import DpmConfig, dpm_gibbs, pool_all
 from .errors import UncpoolError
-from .grid import build_grid, evaluate_joint, sample_mu, summarize
+from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize
 from .io import (RunConfig, ReportDocument, input_echo, parse_input,
                  parse_scenario, render_report, sim_report_csv, sim_report_json)
 from .partitions import enumerate_partitions
-from .simulation import run_scenario
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -79,11 +78,12 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_dict(args, extra: dict | None = None) -> dict:
-    d = {"r": args.r, "b": args.b, "seed": args.seed, "format": args.format}
-    if extra:
-        d.update(extra)
-    return d
+def _echo(cfg, names: tuple[str, ...]) -> dict:
+    """The named fields of a validated config, in order, for a report's config echo."""
+    return {name: getattr(cfg, name) for name in names}
+
+
+_GRID_ECHO = ("r", "b", "seed", "format")
 
 
 def _cmd_pool(args) -> int:
@@ -99,7 +99,7 @@ def _cmd_pool(args) -> int:
     doc = ReportDocument(
         kind="pool",
         input=input_echo(data),
-        config=_config_dict(args, {"threshold": cfg.threshold}),
+        config=_echo(cfg, _GRID_ECHO + ("threshold",)),
         results={"summary": table.to_dict()},
     )
     _write(render_report(doc, cfg.format), args.output)
@@ -114,7 +114,7 @@ def _cmd_pool_all(args) -> int:
     doc = ReportDocument(
         kind="pool-all",
         input=input_echo(data),
-        config=_config_dict(args),
+        config=_echo(cfg, _GRID_ECHO),
         results={"pool_all": {"mean": pa.mean, "sd": pa.sd,
                               "ci_lower": pa.interval[0], "ci_upper": pa.interval[1]}},
     )
@@ -137,9 +137,9 @@ def _cmd_dpm(args) -> int:
     doc = ReportDocument(
         kind="dpm",
         input=input_echo(data),
-        config={"seed": args.seed, "format": args.format, "m": args.m,
-                "iterations": args.iterations, "burn_in": args.burn_in,
-                "thin": args.thin, "hyperparameters": draws.resolved},
+        config={"seed": dpm_cfg.seed, "format": args.format,
+                **_echo(dpm_cfg, ("m", "iterations", "burn_in", "thin")),
+                "hyperparameters": draws.resolved},
         results={"dpm": {"rows": rows}},
     )
     _write(render_report(doc, args.format), args.output)
@@ -147,6 +147,8 @@ def _cmd_dpm(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulation import run_scenario   # only this command needs the harness
+
     scenario = parse_scenario(args.scenario)
     report = run_scenario(scenario, n_jobs=args.n_jobs)
     Path(args.output + ".json").write_text(sim_report_json(report), encoding="utf-8")
@@ -159,8 +161,7 @@ def _cmd_partitions(args) -> int:
     space = enumerate_partitions(args.l)
     if args.input:
         data = parse_input(args.input)
-        jp = evaluate_joint(data, space, build_grid(args.r))
-        masses = np.exp(jp.log_mass).sum(axis=1)
+        masses = marginal_g(evaluate_joint(data, space, build_grid(args.r)))
         lines = [f"{p.notation()}\t{m:.6f}" for p, m in zip(space.partitions, masses)]
     else:
         lines = [p.notation() for p in space.partitions]

@@ -1,16 +1,30 @@
-"""Grid posterior over (partition, delta2): evaluation, sampling, summaries.
+"""Posterior over (partition, delta2) on the variance grid: evaluation, sampling, summaries.
 
 The between-source variance gets an R-point grid placed at the quantiles of
 its prior: with theta_j = (j - 1/2) * (pi/2) / R and delta_j = tan(theta_j),
 each cell carries prior mass exactly 1/R because arctan(sqrt(delta2)) is
-uniform under the inverted-beta prior.  The joint kernel is evaluated at
-every (partition, cell) pair and normalized by its sum, giving a discrete
-approximation of the joint posterior that all downstream summaries use.
+uniform under the inverted-beta prior.  Each (partition, cell) pair is
+weighted by the joint kernel of ``model.log_joint_kernel`` times the cell's
+prior mass, and every summary reads the normalised weights.
+
+Those weights factorise: the weight of (partition pi, cell j) is
+c_j / Bell(L) times the product over the blocks S of pi of
+phi(S, j) = exp(-q_S/2 - 1/2), where c_j gathers the factors no block owns.
+So no summary needs the Bell(L) x R lattice.  ``kernels.partition_sums``
+gives, for every subset U, the sum Z(U, j) over the partitions of U of
+their block products, in O(3^L R) time.  From it come the delta2 marginal
+p(j), proportional to c_j Z(full, j); the evidence; and the block masses
+W[S, j] = p(j) phi(S, j) Z(full - S, j) / Z(full, j), the posterior
+probability that S is a block and the cell is j.  The moments, the draws,
+complete pooling and the partition listing read these; the lattice itself
+is built only when ``JointGridPosterior.log_mass`` is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,7 +32,8 @@ import numpy as np
 from . import kernels
 from .errors import ComputationError, DomainError
 from .model import SurveyData, log_inv_beta_prior
-from .partitions import Partition, PartitionSpace, display_label_l3
+from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
+                         growth_codes)
 
 if TYPE_CHECKING:  # runtime import would be circular; used only in annotations
     from .baselines import PoolAllPosterior
@@ -53,70 +68,100 @@ def build_grid(r: int) -> DeltaGrid:
 
 @dataclass(frozen=True)
 class JointGridPosterior:
-    """Normalized log posterior masses over the (partition, cell) lattice.
+    """Normalised posterior over (partition, cell), held as per-subset sums.
 
-    ``table`` holds the per-subset statistics the lattice was scored from;
-    the moments, the draws and complete pooling read them from here.
+    ``table`` holds the per-subset statistics, ``phi`` the block factors
+    and ``z`` the partition sums of ``kernels.partition_sums``;
+    ``log_cell`` is log(c_j / Bell(L)), the part of a cell's log weight
+    that no block owns.  ``space`` is the full partition space, which the
+    lattice view and the partition indices of the draws refer to.
     """
 
     grid: DeltaGrid
     space: PartitionSpace
-    log_mass: np.ndarray   # (G, R)
-    log_evidence: float
     table: kernels.SubsetTable
+    log_evidence: float
+    phi: np.ndarray            # (2^L, R) phi(S, j); 0 for the empty set, never a block
+    z: np.ndarray              # (2^L, R) Z(U, j)
+    log_cell: np.ndarray       # (R,)
+    delta2_probs: np.ndarray   # (R,) p(j)
+
+    @cached_property
+    def block_mass(self) -> np.ndarray:
+        """(2^L, R) W[S, j]: posterior probability that S is a block and the cell is j.
+
+        Summed over the subsets holding any one source, W gives p(j).
+        """
+        w = self.phi * self.z[::-1]            # row S of z[::-1] is Z(full - S)
+        w *= self.delta2_probs / self.z[-1]
+        return w
+
+    @cached_property
+    def log_mass(self) -> np.ndarray:
+        """(G, R) normalised log mass of every (partition, cell) pair.
+
+        Built from the table on first read, in O(Bell(L) R) time and memory;
+        nothing in the analysis path reads it.
+        """
+        lm = kernels.q_matrix(self.table, self.space.cluster_masks)
+        lm *= -0.5
+        lm += (self.log_cell - self.log_evidence)[None, :]
+        lm -= 0.5 * self.space.d_array[:, None]
+        return lm
 
 
-def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid,
-                   log_prior_g: np.ndarray | None = None) -> JointGridPosterior:
-    """Evaluate and normalize the joint kernel on the (partition, cell) lattice.
+def _solve(data: SurveyData, grid: DeltaGrid):
+    """Subset table, block factors, partition sums, log cell factors, log evidence, p(j)."""
+    y, v, d2 = data.y_hat, data.v, grid.deltas2
+    table = kernels.subset_table(y, v, d2)
+    phi = table.q * -0.5
+    phi -= 0.5
+    np.exp(phi, out=phi)
+    phi[0] = 0.0
+    z = kernels.partition_sums(phi)
+    log_cell = (0.5 * np.log(v[:, None] / (d2[None, :] + v[:, None])).sum(axis=0)
+                + log_inv_beta_prior(d2) + grid.log_prior_mass - math.log(bell_number(data.l)))
+    log_w = log_cell + np.log(z[-1])
+    if not np.all(np.isfinite(log_w)):
+        j = int(np.argmin(np.isfinite(log_w)))
+        raise ComputationError(f"non-finite posterior weight at grid cell {j} (delta2={d2[j]:g})")
+    log_evidence = _logsumexp(log_w)
+    return table, phi, z, log_cell, log_evidence, np.exp(log_w - log_evidence)
 
-    Each cell's log mass is the joint kernel (variance prior density,
-    partition prior, cluster-count penalty, shrinkage and misfit terms) plus
-    the cell's log prior mass, normalized by log-sum-exp.  The misfit of a
-    partition is the sum of its clusters' rows of the per-subset table,
-    which is built once here and kept on the result.
 
-    Parameters
-    ----------
-    log_prior_g : (G,) array, optional
-        Log prior masses over partitions; uniform when omitted.
+def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid) -> JointGridPosterior:
+    """Normalise the joint posterior over (partition, cell) by the subset recursion.
+
+    Builds the per-subset table once, the block factors phi and the
+    partition sums Z of every subset, in O(3^L R) time and O(2^L R)
+    memory.  The log evidence is log sum_j c_j Z(full, j) - log Bell(L),
+    the log of the mean kernel weight over partitions, summed over cells.
+    ``space`` must be the full enumeration of the L sources.
     """
     if data.l != space.l:
         raise DomainError(f"data has L={data.l} but partition space has L={space.l}")
-    y, v, d2 = data.y_hat, data.v, grid.deltas2
-    if log_prior_g is None:
-        log_prior_g = np.full(space.g, -np.log(space.g))
-    else:
-        log_prior_g = np.asarray(log_prior_g, dtype=np.float64)
-        if log_prior_g.shape != (space.g,):
-            raise DomainError("log_prior_g must have one entry per partition")
-
-    table = kernels.subset_table(y, v, d2)
-    base = 0.5 * np.log(v[:, None] / (d2[None, :] + v[:, None])).sum(axis=0)  # (R,)
-    lm = kernels.q_matrix(table, space.cluster_masks)
-    lm *= -0.5
-    lm += (base + log_inv_beta_prior(d2) + grid.log_prior_mass)[None, :]
-    lm += (log_prior_g - 0.5 * space.d_array)[:, None]
-    if not np.all(np.isfinite(lm)):
-        g, j = np.unravel_index(int(np.argmin(np.isfinite(lm))), lm.shape)
-        raise ComputationError(
-            f"non-finite kernel value at partition {space.partitions[g].notation()} "
-            f"(index {g}), grid cell {j} (delta2={d2[j]:g})"
-        )
-    log_z = _logsumexp(lm.ravel())
-    lm -= log_z
-    return JointGridPosterior(grid=grid, space=space, log_mass=lm, log_evidence=log_z,
-                              table=table)
+    if space.g != bell_number(space.l):
+        raise DomainError(f"the posterior needs all Bell({space.l}) = {bell_number(space.l)} "
+                          f"partitions; the space holds {space.g}")
+    table, phi, z, log_cell, log_evidence, p = _solve(data, grid)
+    return JointGridPosterior(grid=grid, space=space, table=table, log_evidence=log_evidence,
+                              phi=phi, z=z, log_cell=log_cell, delta2_probs=p)
 
 
 def marginal_g(jp: JointGridPosterior) -> np.ndarray:
-    """Posterior probability of each partition (row sums over grid cells)."""
-    return np.exp(jp.log_mass).sum(axis=1)
+    """Posterior probability of each partition, from the subset recursion.
+
+    Equals the row sums of the lattice view ``jp.log_mass`` without building it.
+    """
+    g, probs = _listed_partitions(jp, 0.0)
+    out = np.zeros(jp.space.g)
+    out[g] = probs
+    return out
 
 
 def marginal_delta2(jp: JointGridPosterior) -> np.ndarray:
-    """Posterior mass of each grid cell (column sums over partitions)."""
-    return np.exp(jp.log_mass).sum(axis=0)
+    """Posterior mass of each grid cell, p(j)."""
+    return jp.delta2_probs.copy()
 
 
 @dataclass(frozen=True)
@@ -143,18 +188,20 @@ def _draw_mu(data: SurveyData, table: kernels.SubsetTable, members: np.ndarray,
     (1 - lam_i) makes the resulting mean and covariance match the
     closed-form conditional moments exactly.
     """
-    # In place: these (n, L) temporaries set the peak memory of a small run.
-    d2 = table.deltas2[cols][:, None]
-    oml = data.v / (d2 + data.v)
-    col = cols[:, None]
-    nu = np.take_along_axis(rng.standard_normal(slots.shape), slots, axis=1)
-    nu /= np.sqrt(table.a[members, col])
-    nu += table.ybar[members, col]
+    # Per-cell factors are formed once per column, then gathered; the (n, L)
+    # work is done in place, because those temporaries set a small run's peak.
+    n, l = slots.shape
+    d2 = table.deltas2[:, None]
+    oml = data.v / (d2 + data.v)                               # (R, L) 1 - lam
+    flat = members * table.a.shape[1] + cols[:, None]          # cluster's table entry
+    nu = rng.standard_normal((n, l)).take(slots + np.arange(0, n * l, l)[:, None])
+    nu /= np.sqrt(table.a.take(flat))
+    nu += table.ybar.take(flat)
+    nu *= oml.take(cols, axis=0)
     mu = rng.standard_normal(slots.shape)
-    mu *= np.sqrt(d2 * oml)
-    nu *= oml
+    mu *= np.sqrt(d2 * oml).take(cols, axis=0)
     mu += nu
-    mu += d2 / (d2 + data.v) * (data.y_hat - table.shift)
+    mu += (d2 / (d2 + data.v) * (data.y_hat - table.shift)).take(cols, axis=0)
     mu += table.shift
     return mu
 
@@ -177,11 +224,10 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
 def _draw_cells(mass: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``b`` flat indices with probability proportional to ``mass``.
 
-    Runs exactly what ``rng.choice(mass.size, b, p=mass / mass.sum())`` runs
-    after its argument checks (inverse CDF: cumulative sum, scaled by its
-    last entry, searched with uniforms), so the draws are bit-identical to
-    it.  The checks are skipped because the masses come from a lattice that
-    ``evaluate_joint`` has already checked to be finite.  ``mass`` is
+    Inverse CDF: cumulative sum, scaled by its last entry, searched with
+    uniforms; what ``rng.choice(mass.size, b, p=mass / mass.sum())`` runs
+    after its argument checks, which are skipped because the masses come
+    from a posterior already checked to be finite.  ``mass`` is
     overwritten with the CDF.
     """
     mass /= mass.sum()
@@ -190,56 +236,129 @@ def _draw_cells(mass: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarra
     return mass.searchsorted(rng.random(b), side="right")
 
 
+@lru_cache(maxsize=None)
+def _block_codes(l: int) -> np.ndarray:
+    """(2^L,) growth-string code of the labels that put 1 on subset S and 0 elsewhere."""
+    return growth_codes(kernels.membership(l).T.astype(np.int64))
+
+
+def _peel(jp: JointGridPosterior, first: np.ndarray, cols: np.ndarray,
+          rng: np.random.Generator) -> np.ndarray:
+    """Complete partitions whose first block is drawn; returns their growth-string codes.
+
+    Blocks are peeled in order of their smallest member, so the k-th block
+    carries label k.  Given the sources U still unassigned and the cell j,
+    the next block T (holding min U) has probability
+    phi(T, j) Z(U - T, j) / Z(U, j).  A lone remaining source is its own
+    block and takes no random number.  Each round builds the CDF over the
+    candidate blocks once per distinct (U, j) among the draws, padded to
+    the largest candidate count with the empty set (phi = 0), and each
+    draw finds its block by a binary search of its pair's CDF.  Many draws
+    share a pair, so this beats gathering a CDF row per draw: about 2x at
+    L = 3, R = 2000 and 12x at L = 8, R = 200, for 5000 draws.
+    """
+    l, r = jp.space.l, jp.grid.r
+    splits = kernels.subset_splits(l)
+    weight = _block_codes(l)
+    phi, z = jp.phi.ravel(), jp.z.ravel()
+    slot = np.empty(phi.shape[0], dtype=np.int64)      # scratch, indexed by U * R + j
+    codes = np.zeros(first.shape[0], dtype=np.int64)   # the first block has label 0
+    todo = np.arange(first.shape[0])                    # the draws still being peeled
+    u = ((1 << l) - 1) ^ first                          # their sources still unassigned
+    label = 1
+    while True:
+        # index arrays and take, not boolean masks: masks over random draws are slower
+        lone = (u & (u - 1)) == 0                      # one source left, or none
+        at = np.flatnonzero(lone)
+        codes[todo.take(at)] += label * weight.take(u.take(at))
+        at = np.flatnonzero(~lone)
+        if not at.size:
+            return codes
+        todo, u, cols = todo.take(at), u.take(at), cols.take(at)
+        # number the distinct (U, j) pairs through the scratch slots
+        n = todo.size
+        key = u * r + cols
+        slot[key] = np.arange(n)
+        firsts = np.flatnonzero(slot[key] == np.arange(n))
+        slot[key[firsts]] = np.arange(firsts.size)
+        pair = slot[key]
+        pu, pj = u[firsts], cols[firsts]
+        count = splits.count[pu]
+        k = np.arange(count.max())[:, None]
+        valid = k < count
+        rows = np.where(valid, splits.start[pu] + k, 0)
+        blocks = np.where(valid, splits.block[rows], 0)        # (K, pairs)
+        cdf = phi.take(blocks * r + pj)
+        cdf *= z.take(splits.rest[rows] * r + pj)
+        for i in range(1, cdf.shape[0]):     # row by row: np.cumsum(axis=0) is slower
+            cdf[i] += cdf[i - 1]
+        cdf, blocks = cdf.T.ravel(), blocks.T.ravel()
+        span = k.shape[0]                                       # a power of two
+        pos = pair * span
+        target = rng.random(n)
+        target *= cdf.take(pos + (span - 1))
+        half = span >> 1
+        while half:                          # step pos past the CDF entries below target
+            pos += half * (cdf.take(pos + (half - 1)) < target)
+            half >>= 1
+        block = blocks.take(pos)
+        codes[todo] += label * weight.take(block)
+        u ^= block
+        label += 1
+
+
 def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> PosteriorDraws:
     """Draw B values of mu by ancestral sampling from the grid posterior.
 
-    Cells are drawn with replacement proportional to their posterior mass;
-    given a cell, mu is drawn by the two-stage scheme of :func:`_draw_mu`
-    from the cell's rows of the subset table.  Reproducible given the seed.
+    The block holding source 0 and the cell are drawn together from the
+    block masses W; the other blocks are peeled off by :func:`_peel`, and
+    mu is then drawn by the two-stage scheme of :func:`_draw_mu` from the
+    cell's rows of the subset table.  Reproducible given the seed.
     """
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     rng = np.random.default_rng(seed)
-    cells = _draw_cells(np.exp(jp.log_mass).ravel(), b, rng)
-    g_idx, j_idx = np.unravel_index(cells, jp.log_mass.shape)
-    mu = _draw_mu(data, jp.table, jp.space.member_masks[g_idx],
-                  jp.space.assignment_array[g_idx], j_idx, rng)
+    r = jp.grid.r
+    cells = _draw_cells(jp.block_mass[1::2].flatten(), b, rng)   # odd S hold source 0
+    first, j_idx = np.divmod(cells, r)
+    first = 2 * first + 1
+    g_idx = jp.space.index_of_codes(_peel(jp, first, j_idx, rng))
+    mu = _draw_mu(data, jp.table, jp.space.member_masks.take(g_idx, axis=0),
+                  jp.space.assignment_array.take(g_idx, axis=0), j_idx, rng)
     return PosteriorDraws(
         b=b,
         mu=mu,
-        g_indices=g_idx.astype(np.int64),
+        g_indices=g_idx,
         delta2_values=jp.grid.deltas2[j_idx],
         seed=seed,
     )
 
 
 def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic posterior mean and SD of each mu_i from the cell mixture.
+    """Deterministic posterior mean and SD of each mu_i from the block masses.
 
-    Means are mass-weighted conditional means; variances follow the law of
-    total variance over cells.  No Monte Carlo error.  Given its cluster S
-    and delta2, source i has mean lam_i y_i + (1 - lam_i) ybar_S and
-    variance delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S, so each source needs
-    only its cluster's table rows.  Moments are formed about the table's
-    shift, so E[x^2] - E[x]^2 does not cancel for offset data.
+    Given its block S and delta2, source i has mean
+    lam_i y_i + (1 - lam_i) ybar_S and variance
+    delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S.  Summing W[S, j] over the
+    blocks S holding i mixes these exactly, with no partition axis and no
+    Monte Carlo error; variances follow the law of total variance.
+    Moments are formed about the table's shift, so E[x^2] - E[x]^2 does
+    not cancel for offset data.
     """
-    t = jp.table
-    w = np.exp(jp.log_mass)
-    w_cell = w.sum(axis=0)                                   # (R,)
-    nu2 = np.zeros_like(t.a)                                 # E[nu_S^2 | cell]
-    nu2[1:] = t.ybar[1:] ** 2 + 1.0 / t.a[1:]
-    d2 = t.deltas2
-    e1 = np.empty(data.l)
-    e2 = np.empty(data.l)
-    for i in range(data.l):
-        rows = jp.space.member_masks[:, i]
-        m1 = np.einsum("gr,gr->r", w, t.ybar[rows])
-        m2 = np.einsum("gr,gr->r", w, nu2[rows])
-        lam = d2 / (d2 + data.v[i])
-        oml = data.v[i] / (d2 + data.v[i])
-        own = lam * (data.y_hat[i] - t.shift)
-        e1[i] = (own * w_cell + oml * m1).sum()
-        e2[i] = (w_cell * (d2 * oml + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum()
+    t, p = jp.table, jp.delta2_probs
+    member = kernels.membership(data.l)                      # (L, 2^L)
+    w = jp.block_mass
+    nu2 = t.ybar * t.ybar                                     # E[nu_S^2 | cell]
+    nu2[1:] += 1.0 / t.a[1:]
+    nu2 *= w
+    m1 = np.einsum("is,sr->ir", member, w * t.ybar)            # (L, R)
+    m2 = np.einsum("is,sr->ir", member, nu2)
+    d2 = t.deltas2[None, :]
+    v = data.v[:, None]
+    oml = v / (d2 + v)
+    own = d2 / (d2 + v) * (data.y_hat - t.shift)[:, None]
+    e1 = (own * p + oml * m1).sum(axis=1)
+    e2 = (p * (d2 * oml + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum(axis=1)
     return t.shift + e1, np.sqrt(e2 - e1 * e1)
 
 
@@ -295,6 +414,51 @@ class SummaryTable:
         return d
 
 
+def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and probabilities of the partitions with p(pi) >= threshold, in space order.
+
+    Grows partitions block by block, smallest member first.  A prefix of
+    blocks T_1..T_k with the sources U still free has mass
+    sum_j p(j) prod phi(T_i, j) Z(U, j) / Z(full, j), the total of its
+    completions, so no completion outweighs its prefix; prefixes lighter
+    than the threshold (less a relative 1e-12 for rounding) are dropped.
+    A prefix that leaves at most one source free is complete, the lone
+    source being the last block (Z of a single source is its phi), and
+    its mass is the exact p(pi).
+    """
+    l = jp.space.l
+    splits = kernels.subset_splits(l)
+    weight = _block_codes(l)
+    cut = threshold * (1.0 - 1e-12)
+    rest = np.array([(1 << l) - 1])
+    scale = (jp.delta2_probs / jp.z[-1])[None, :]   # p(j) prod phi / Z(full) per prefix
+    codes = np.zeros(1, dtype=np.int64)
+    found_codes, found_probs = [], []
+    label = 0
+    while rest.size:
+        count = splits.count[rest]
+        parent = np.repeat(np.arange(rest.shape[0]), count)
+        rows = np.arange(parent.shape[0]) + (splits.start[rest] - np.cumsum(count) + count)[parent]
+        block, left = splits.block[rows], splits.rest[rows]
+        scale = scale.take(parent, axis=0)
+        scale *= jp.phi.take(block, axis=0)
+        mass = np.einsum("nr,nr->n", scale, jp.z.take(left, axis=0))
+        codes = codes[parent] + label * weight[block]
+        keep = mass >= cut
+        lone = (left & (left - 1)) == 0        # what is left, if anything, is one block
+        done = np.flatnonzero(keep & lone)
+        found_codes.append(codes[done] + (label + 1) * weight[left[done]])
+        found_probs.append(mass[done])
+        go = np.flatnonzero(keep & ~lone)
+        rest, scale, codes = left[go], scale.take(go, axis=0), codes[go]
+        label += 1
+    probs = np.concatenate(found_probs)
+    g = jp.space.index_of_codes(np.concatenate(found_codes))
+    keep = np.flatnonzero(probs >= threshold)
+    order = keep[np.argsort(g[keep])]
+    return g[order], probs[order]
+
+
 def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
               pool_all: "PoolAllPosterior | None" = None,
               threshold: float = 0.001) -> SummaryTable:
@@ -302,18 +466,19 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
 
     Posterior means and SDs come from the exact mixture; 95% intervals are
     equal-tailed 2.5%/97.5% empirical quantiles of the draws (linear
-    interpolation).  Partition probabilities at or above ``threshold`` are
-    listed in enumeration order, keyed by cluster notation, with the
-    conventional 1..5 labels attached when L = 3.
+    interpolation).  Partition probabilities at or above ``threshold``,
+    found by :func:`_listed_partitions` without the lattice, are listed in
+    enumeration order, keyed by cluster notation, with the conventional
+    1..5 labels attached when L = 3.
     """
     mean, sd = exact_mixture_moments(data, jp)
     lo, hi = np.quantile(draws.mu, [0.025, 0.975], axis=0)
-    pg = marginal_g(jp)
     probs = []
-    for g in np.flatnonzero(pg >= threshold):
+    listed, listed_probs = _listed_partitions(jp, threshold)
+    for g, prob in zip(listed.tolist(), listed_probs.tolist()):
         p = jp.space.partitions[g]
         label = display_label_l3(p) if data.l == 3 else None
-        probs.append(PartitionMass(notation=p.notation(), prob=float(pg[g]), label=label))
+        probs.append(PartitionMass(notation=p.notation(), prob=prob, label=label))
     return SummaryTable(
         labels=data.labels,
         observed=tuple(float(x) for x in data.y_hat),

@@ -14,10 +14,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
 from .model import SurveyData
-from .simulation import SimReport, SimScenario
+
+if TYPE_CHECKING:  # imported where a scenario is built, so other commands skip it
+    from .simulation import SimReport, SimScenario
 
 SUMMARY_HEADER = ("label", "estimate", "se")
 BINOMIAL_HEADER = ("label", "cases", "total")
@@ -319,6 +322,7 @@ def parse_scenario(source) -> SimScenario:
             kwargs[key] = _SCENARIO_KEYS[key](val.strip())
         except ValueError:
             raise ParseError(f"bad value for {key}: {val.strip()!r}", line=i) from None
+    from .simulation import SimScenario
     return SimScenario(**kwargs)
 
 

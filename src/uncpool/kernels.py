@@ -18,6 +18,14 @@ C - B^2/A cancels catastrophically when the estimates share a large offset,
 so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
 1983, "Algorithms for computing the sample variance").  The table stores
 ``ybar`` centred and records the offset as ``shift``.
+
+The model's weight of a (partition, grid point) pair is a per-point factor
+times a product over the partition's clusters of phi(S) = exp(-q_S/2 - 1/2)
+(a product partition model: Hartigan 1990, "Partition models", Comm.
+Statist. 19).  So every sum over partitions is a recursion over subsets,
+:func:`partition_sums`, which visits each split of a subset into a block and
+a rest once: (3^L - 1)/2 splits per grid point instead of Bell(L)
+partitions.  :func:`subset_splits` lists those splits once per L.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +71,7 @@ def subset_table(y, v, deltas2) -> SubsetTable:
     sums = np.zeros((3, 1 << L, deltas2.shape[0]))
     for i in range(L):
         lo = 1 << i
-        sums[:, lo:2 * lo] = sums[:, :lo] + terms[:, i, None, :]
+        np.add(sums[:, :lo], terms[:, i, None, :], out=sums[:, lo:2 * lo])
     a, ybar, q = sums              # B and C, overwritten in place below
     ybar[1:] /= a[1:]
     q[1:] -= ybar[1:] * ybar[1:] * a[1:]
@@ -72,7 +82,8 @@ def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
     """(G, R) within-cluster misfit of every (partition, grid point) pair.
 
     ``cluster_masks`` is ``PartitionSpace.cluster_masks``: row g lists the
-    bitmasks of partition g's clusters, padded with the empty set.
+    bitmasks of partition g's clusters, padded with the empty set.  Only
+    the lattice view ``JointGridPosterior.log_mass`` reads it.
     """
     G, L = cluster_masks.shape
     out = np.take(table.q, cluster_masks[:, 0], axis=0)
@@ -82,6 +93,95 @@ def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
         np.take(table.q, cluster_masks[:, k], axis=0, out=rows, mode="clip")
         out += rows
     return out
+
+
+@lru_cache(maxsize=None)
+def membership(l: int) -> np.ndarray:
+    """(L, 2^L) float 0/1 matrix, 1 where source i belongs to subset S (read-only)."""
+    out = ((np.arange(1 << l) >> np.arange(l)[:, None]) & 1).astype(np.float64)
+    out.flags.writeable = False
+    return out
+
+
+class SubsetSplits(NamedTuple):
+    """Every split of a nonempty subset U into a block T holding min U and the rest U - T.
+
+    Rows are ordered by |U|, then U, then T.  Each popcount layer is thus
+    one run of rows in which every U owns 2^(|U|-1) consecutive rows, and
+    a subset's rest always lies in an earlier layer.
+    """
+
+    block: np.ndarray    # (N,) T, N = (3^L - 1) / 2
+    rest: np.ndarray     # (N,) U - T
+    start: np.ndarray    # (2^L,) U's first row
+    count: np.ndarray    # (2^L,) 2^(|U|-1) rows per U, 0 for the empty set
+    layers: tuple[tuple[np.ndarray, slice], ...]   # per |U| = 1..L: the U, their rows
+
+
+@lru_cache(maxsize=None)
+def subset_splits(l: int) -> SubsetSplits:
+    """The splits of every nonempty subset of L sources, built once per L.
+
+    Each U starts with the one block {min U}; for each other member i of U,
+    every block so far is kept once without i and once with it.
+    """
+    sizes = membership(l).sum(axis=0).astype(np.int64)     # |S| for every subset S
+    owner = np.arange(1, 1 << l, dtype=np.int64)
+    block = owner & -owner
+    for i in range(l):
+        bit = 1 << i
+        free = ((owner & bit) != 0) & ((owner & -owner) != bit)
+        reps = 1 + free
+        second = np.cumsum(reps)[free] - 1
+        owner, block = np.repeat(owner, reps), np.repeat(block, reps)
+        block[second] |= bit
+    size = sizes[owner]
+    order = np.argsort((size << (2 * l)) | (owner << l) | block)
+    owner, block, size = owner[order], block[order], size[order]
+    start = np.zeros(1 << l, dtype=np.int64)
+    firsts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    start[owner[firsts]] = firsts
+    count = np.zeros(1 << l, dtype=np.int64)
+    count[1:] = 1 << (sizes[1:] - 1)
+    bounds = np.searchsorted(size, np.arange(1, l + 2))
+    layers = tuple((owner[lo:hi:1 << (c - 1)], slice(int(lo), int(hi)))
+                   for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1))
+    for a in (owner, block, start, count):
+        a.flags.writeable = False
+    return SubsetSplits(block=block, rest=owner ^ block, start=start, count=count,
+                        layers=layers)
+
+
+#: Most float64 values one layer of :func:`partition_sums` holds at once;
+#: wider grids are summed in column blocks.
+_SPLIT_CELLS = 1 << 22
+
+
+def partition_sums(phi: np.ndarray) -> np.ndarray:
+    """(2^L, R) sums over the partitions of every subset U of products of phi.
+
+    Z(empty) = 1 and Z(U, j) = sum over T in U holding min U of
+    phi(T, j) Z(U - T, j), so Z(U, j) is the sum over all partitions of U
+    of the product of phi over their blocks.  Built layer by layer in |U|:
+    each layer gathers its splits' block and rest rows and sums each U's
+    2^(|U|-1) products.  Costs (3^L - 1)/2 products per grid point.
+    """
+    n_sub, r = phi.shape
+    splits = subset_splits(n_sub.bit_length() - 1)
+    z = np.empty_like(phi)
+    z[0] = 1.0
+    widest = max(rows.stop - rows.start for _, rows in splits.layers)
+    step = max(1, _SPLIT_CELLS // widest)
+    for c0 in range(0, r, step):
+        ph, zc = phi[:, c0:c0 + step], z[:, c0:c0 + step]   # views of one column block
+        for us, rows in splits.layers:
+            if us.shape[0] == rows.stop - rows.start:    # singletons: Z({i}) = phi({i})
+                zc[us] = ph[us]
+                continue
+            prod = ph.take(splits.block[rows], axis=0)
+            prod *= zc.take(splits.rest[rows], axis=0)
+            zc[us] = prod.reshape(us.shape[0], -1, prod.shape[1]).sum(axis=1)
+    return z
 
 
 # ---------------------------------------------------------------------------

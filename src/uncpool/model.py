@@ -213,8 +213,11 @@ def log_joint_kernel(data: SurveyData, p: Partition, delta2: float,
     """Unnormalized log posterior kernel of one (partition, delta2) pair.
 
     log f(delta2) + log f(g) - d/2 + 0.5 * sum log(1 - lam_i) - Q/2, with a
-    single delta2 shared by all clusters.  Normalizing exp of this kernel
-    over a (partition, grid) lattice approximates the joint posterior; the
+    single delta2 shared by all clusters.  Times a grid cell's prior mass,
+    exp of this kernel is the weight ``grid.evaluate_joint`` gives the
+    (partition, cell) pair.  Apart from the terms shared by every partition,
+    it is a sum over clusters of -(q_S + 1)/2, which is what lets the grid
+    posterior be summed over partitions by a recursion over subsets.  The
     value is invariant to translating every estimate by a constant, and all
     terms except the delta2 prior are invariant to rescaling
     (y, V, delta2) -> (c*y, c^2*V, c^2*delta2).

@@ -170,6 +170,12 @@ class PartitionSpace:
                 raise DomainError(f"every partition of a space with L={self.l} "
                                   f"needs {self.l} elements")
             rows = np.array([p.assignment for p in parts], dtype=np.int64).reshape(-1, self.l)
+            codes = growth_codes(rows)
+            order = np.argsort(codes, kind="stable")
+            repeats = np.flatnonzero(np.diff(codes[order]) == 0)
+            if repeats.size:
+                p = parts[order[repeats[0]]]
+                raise DomainError(f"partition {p.notation()} is listed more than once")
             rows.flags.writeable = False
             object.__setattr__(self, "partitions", _PartitionSequence(rows))
 
@@ -209,6 +215,36 @@ class PartitionSpace:
 
     def index_of(self, p: Partition) -> int:
         return self.partitions.index(p)
+
+    @cached_property
+    def _code_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The partitions' growth-string codes sorted, and the index of each."""
+        codes = growth_codes(self.assignment_array)
+        order = np.argsort(codes, kind="stable")
+        return codes[order], order
+
+    def index_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Index in this space of the partition behind each growth-string code.
+
+        ``codes`` come from :func:`growth_codes`; a code of a partition
+        outside the space raises ``DomainError``.
+        """
+        known, order = self._code_order
+        pos = np.minimum(np.searchsorted(known, codes), known.shape[0] - 1)
+        if not np.array_equal(known[pos], codes):
+            raise DomainError("a partition is not in the partition space")
+        return order[pos]
+
+
+def growth_codes(assignments: np.ndarray) -> np.ndarray:
+    """(n,) integer code of each row of an (n, L) array of cluster labels.
+
+    A row is read as the base-L digits of its code, so codes of growth
+    strings sort in enumeration (lexicographic) order.  Exact up to L = 15,
+    where L^L still fits in int64.
+    """
+    l = assignments.shape[-1]
+    return assignments @ (l ** np.arange(l - 1, -1, -1, dtype=np.int64))
 
 
 def _growth_string_array(l: int) -> np.ndarray:

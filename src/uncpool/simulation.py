@@ -14,7 +14,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DomainError
-from .grid import DeltaGrid, build_grid, evaluate_joint, exact_mixture_moments, sample_mu
+from .grid import (DeltaGrid, build_grid, evaluate_joint, exact_mixture_moments, marginal_g,
+                   sample_mu)
 from .model import SurveyData
 from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
 
@@ -105,7 +106,7 @@ def _run_replicate(s: SimScenario, rep_index: int, shared: _Shared | None = None
     mean, sd = exact_mixture_moments(data, jp)
     draws = sample_mu(data, jp, s.b, mu_seed)
     lo, hi = np.quantile(draws.mu, [0.025, 0.975], axis=0)
-    pg = np.exp(jp.log_mass).sum(axis=1)
+    pg = marginal_g(jp)
     truth = s.truth
     return {
         "p_g": pg[shared.order],

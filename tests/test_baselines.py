@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uncpool import (DomainError, DpmConfig, SurveyData, build_grid, cluster_stats,
+from uncpool import (DomainError, DpmConfig, DpmDraws, SurveyData, build_grid, cluster_stats,
                      dpm_exact, dpm_gibbs, dpm_partition_prior, enumerate_partitions,
                      evaluate_joint, marginal_delta2, pool_all)
 
@@ -29,17 +29,11 @@ def test_pool_all_requires_two_sources():
         pool_all(data, build_grid(100))
 
 
-def test_pool_all_restricted_space_consistency():
-    # forcing the single all-in-one partition: the delta2 mixing weights must
-    # equal the restricted grid posterior's delta2 marginal
+def test_pool_all_matches_cluster_stats_mixture():
+    # the common mean mixes the all-in-one cluster's conditional over p(j)
     data = make_dixie(0.5)
     grid = build_grid(300)
-    space_all = enumerate_partitions(3)
-    one = space_all.partitions[:1]
-    from uncpool.partitions import PartitionSpace
-
-    restricted = PartitionSpace(l=3, partitions=tuple(one))
-    jp = evaluate_joint(data, restricted, grid)
+    jp = evaluate_joint(data, enumerate_partitions(3), grid)
     weights = marginal_delta2(jp)
     # conditional on delta2, nu ~ N(mu_hat, delta2 / sum(lam)) for the single cluster
     stats = [cluster_stats(data, range(3), float(d2)) for d2 in grid.deltas2]
@@ -47,12 +41,9 @@ def test_pool_all_restricted_space_consistency():
     var_c = grid.deltas2 / np.array([st.lam_sum for st in stats])
     expect_mean = float((weights * mean_c).sum())
     expect_sd = math.sqrt(float((weights * (var_c + mean_c ** 2)).sum()) - expect_mean ** 2)
-    pa = pool_all(data, grid, b=2000, seed=0, space=restricted)
-    assert pa.mean == pytest.approx(expect_mean, abs=1e-10)
-    assert pa.sd == pytest.approx(expect_sd, abs=1e-10)
-    # and the restricted delta2 posterior differs from the partition-averaged one
-    jp_full = evaluate_joint(data, space_all, grid)
-    assert not np.allclose(weights, marginal_delta2(jp_full), atol=1e-4)
+    for pa in (pool_all(data, grid, b=2000, seed=0), pool_all(data, grid, b=2000, seed=0, jp=jp)):
+        assert pa.mean == pytest.approx(expect_mean, abs=1e-10)
+        assert pa.sd == pytest.approx(expect_sd, abs=1e-10)
 
 
 def test_pool_all_rejects_jp_from_another_grid():
@@ -247,6 +238,32 @@ def test_dpm_gibbs_single_source_conjugate_limit():
     prec = 1 / 1e6 + 1 / 0.01
     expect = (0.0 / 1e6 + 0.37 / 0.01) / prec
     assert draws.post_mean[0] == pytest.approx(expect, abs=4 * math.sqrt(1 / prec / 3500))
+
+
+def frequencies_loop(assignments, space):
+    """Partition frequencies by canonicalising each draw's labels in Python."""
+    index = {p.assignment: i for i, p in enumerate(space.partitions)}
+    counts = np.zeros(space.g)
+    for row in assignments:
+        remap: dict[int, int] = {}
+        canon = tuple(remap.setdefault(a, len(remap)) for a in row)
+        counts[index[canon]] += 1
+    return counts / counts.sum()
+
+
+def test_partition_frequencies_match_the_loop():
+    draws = dpm_gibbs(make_dixie(1.0), DpmConfig(iterations=1500, burn_in=500, seed=4))
+    space = enumerate_partitions(3)
+    assert np.array_equal(draws.partition_frequencies(space),
+                          frequencies_loop(draws.assignments, space))
+    # compact labels 0..k-1 in any order, not only in order of first occurrence
+    rng = np.random.default_rng(5)
+    rows = np.array([np.unique(rng.integers(0, 5, size=5), return_inverse=True)[1]
+                     for _ in range(400)])
+    space = enumerate_partitions(5)
+    fake = type("Draws", (), {"assignments": rows})()
+    assert np.array_equal(DpmDraws.partition_frequencies(fake, space),
+                          frequencies_loop(rows, space))
 
 
 def test_dpm_gibbs_matches_exact_enumeration():

@@ -135,3 +135,21 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["{1,2}", "{1}|{2}"]
+
+
+def test_config_echoes_keep_their_keys(dixie_file, tmp_path):
+    runs = {
+        "pool": (["--r", "200", "--b", "300"], ["r", "b", "seed", "format", "threshold"]),
+        "pool-all": (["--r", "200", "--b", "300"], ["r", "b", "seed", "format"]),
+        "dpm": (["--iterations", "300", "--burn-in", "100"],
+                ["seed", "format", "m", "iterations", "burn_in", "thin", "hyperparameters"]),
+    }
+    for cmd, (flags, keys) in runs.items():
+        out = tmp_path / f"{cmd}.json"
+        assert run_command([cmd, "--input", str(dixie_file), "--seed", "3", *flags,
+                            "--output", str(out)]) == 0
+        config = json.loads(out.read_text(encoding="utf-8"))["config"]
+        assert sorted(config) == sorted(keys)
+        assert config["seed"] == 3 and config["format"] == "json"
+    assert ReportDocument.from_json((tmp_path / "pool.json").read_text(encoding="utf-8")
+                                    ).config["threshold"] == 0.001

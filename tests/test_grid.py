@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from uncpool import (ComputationError, DomainError, JointGridPosterior, Partition,
-                     SurveyData, build_grid, conditional_moments, enumerate_partitions,
-                     evaluate_joint, exact_mixture_moments, log_joint_kernel,
-                     marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu,
-                     summarize)
+                     PartitionSpace, SurveyData, build_grid, conditional_moments,
+                     enumerate_partitions, evaluate_joint, exact_mixture_moments,
+                     log_joint_kernel, marginal_delta2, marginal_g, pool_all, q_statistic,
+                     sample_mu, summarize)
 from uncpool.grid import _draw_mu_for_partition
-from uncpool.kernels import q_matrix, subset_table
+from uncpool.kernels import SubsetTable, partition_sums, q_matrix, subset_table
 
 from conftest import make_dixie
 
@@ -76,14 +76,23 @@ def test_joint_normalization(dixie_panel1):
 
 
 def test_uniform_mass_gives_uniform_marginal():
+    # q_S = |S| - 1 makes every partition's block product e^(-L/2), so with equal
+    # cell factors every (partition, cell) pair carries the same mass
     space = enumerate_partitions(3)
     grid = build_grid(8)
-    lm = np.full((space.g, grid.r), -math.log(space.g * grid.r))
-    table = subset_table(np.zeros(3), np.ones(3), grid.deltas2)
-    jp = JointGridPosterior(grid=grid, space=space, log_mass=lm, log_evidence=0.0,
-                            table=table)
+    size = np.array([bin(s).count("1") for s in range(8)])[:, None] * np.ones(8)
+    table = SubsetTable(deltas2=grid.deltas2, shift=0.0, a=np.ones((8, 8)),
+                        ybar=np.zeros((8, 8)), q=np.maximum(size - 1.0, 0.0))
+    phi = np.exp(-0.5 * size)
+    phi[0] = 0.0
+    z = partition_sums(phi)
+    assert z[-1] == pytest.approx([5 * math.exp(-1.5)] * 8, rel=1e-15)
+    log_cell = np.full(8, -math.log(8 * 5 * math.exp(-1.5)))
+    jp = JointGridPosterior(grid=grid, space=space, table=table, log_evidence=0.0, phi=phi,
+                            z=z, log_cell=log_cell, delta2_probs=np.full(8, 1 / 8))
     assert marginal_g(jp) == pytest.approx([0.2] * 5, abs=1e-12)
     assert marginal_delta2(jp) == pytest.approx([1 / 8] * 8, abs=1e-12)
+    assert np.exp(jp.log_mass).sum(axis=1) == pytest.approx([0.2] * 5, abs=1e-12)
 
 
 def test_mean_delta2_consistent_between_marginal_and_joint(dixie_panel1):
@@ -127,11 +136,18 @@ def test_mismatched_space_rejected(dixie_panel1):
         evaluate_joint(dixie_panel1, enumerate_partitions(2), build_grid(16))
 
 
-def test_zero_prior_partition_raises_named_cell(dixie_panel1):
-    space = enumerate_partitions(3)
-    log_prior = np.array([-np.inf, *([-math.log(4)] * 4)])
-    with pytest.raises(ComputationError, match=r"partition \{1,2,3\}"):
-        evaluate_joint(dixie_panel1, space, build_grid(16), log_prior_g=log_prior)
+def test_restricted_space_rejected(dixie_panel1):
+    full = enumerate_partitions(3)
+    with pytest.raises(DomainError, match=r"Bell\(3\) = 5"):
+        evaluate_joint(dixie_panel1, PartitionSpace(l=3, partitions=full.partitions[:1]),
+                       build_grid(16))
+
+
+def test_non_finite_weight_raises_named_cell():
+    # estimates of 1e200 overflow the misfit sums to inf - inf
+    data = SurveyData(["a", "b", "c"], [1e200, -1e200, 0.0], [1.0, 1.0, 1.0])
+    with np.errstate(all="ignore"), pytest.raises(ComputationError, match=r"grid cell 0 "):
+        evaluate_joint(data, enumerate_partitions(3), build_grid(16))
 
 
 def test_permutation_equivariance():
@@ -272,15 +288,17 @@ def test_draws_are_deterministic_given_seed(dixie_panel1):
 
 @pytest.mark.parametrize("l", [3, 5])
 def test_cell_draws_equal_generator_choice(l):
-    # inverse-CDF cell draws reproduce Generator.choice(p=...) index for index
+    # the block holding source 0 and the cell are one inverse-CDF draw over the
+    # block masses, index for index what Generator.choice(p=...) draws
     data = small_data(np.random.default_rng(40 + l), l)
     jp = evaluate_joint(data, enumerate_partitions(l), build_grid(150))
     draws = sample_mu(data, jp, 3000, seed=11)
-    p = np.exp(jp.log_mass).ravel()
-    p /= p.sum()
+    p = jp.block_mass[1::2].ravel()
+    p = p / p.sum()
     expect = np.random.default_rng(11).choice(p.size, 3000, p=p)
-    assert np.array_equal(draws.g_indices * jp.grid.r + np.searchsorted(
-        jp.grid.deltas2, draws.delta2_values), expect)
+    first = jp.space.member_masks[draws.g_indices, 0]
+    cells = np.searchsorted(jp.grid.deltas2, draws.delta2_values)
+    assert np.array_equal((first - 1) // 2 * jp.grid.r + cells, expect)
 
 
 def test_enumeration_and_lattice_create_no_partition(monkeypatch):
@@ -305,7 +323,11 @@ def test_summarize_lists_what_a_loop_lists(threshold):
     pg = marginal_g(jp)
     expect = [(p.notation(), float(pg[g])) for g, p in enumerate(jp.space.partitions)
               if pg[g] >= threshold]
-    assert [(pm.notation, pm.prob) for pm in table.partition_probs] == expect
+    # the listing sums the subset recursion, the oracle the lattice: they agree
+    # to rounding, not bit for bit
+    assert [pm.notation for pm in table.partition_probs] == [n for n, _ in expect]
+    assert [pm.prob for pm in table.partition_probs] == pytest.approx([p for _, p in expect],
+                                                                      abs=1e-15)
     assert len(expect) == {0.0: 52, 1e-3: 5, 0.5: 1}[threshold]
 
 

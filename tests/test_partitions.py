@@ -5,6 +5,7 @@ import pytest
 
 from uncpool import (DomainError, Partition, PartitionSpace, bell_number, display_label_l3,
                      enumerate_partitions)
+from uncpool.partitions import growth_codes
 
 
 def bell_oracle(n: int) -> int:
@@ -181,3 +182,24 @@ def test_spaces_compare_by_their_partitions():
     assert PartitionSpace(l=3, partitions=list(full.partitions)) == full
     with pytest.raises(DomainError, match="L=3"):
         PartitionSpace(l=3, partitions=(Partition((0, 1)),))
+
+
+def test_space_rejects_a_repeated_partition():
+    full = enumerate_partitions(3)
+    twice = (full.partitions[0], full.partitions[4], full.partitions[0])
+    with pytest.raises(DomainError, match=r"\{1,2,3\} is listed more than once"):
+        PartitionSpace(l=3, partitions=twice)
+
+
+@pytest.mark.parametrize("l", [2, 3, 6])
+def test_growth_codes_follow_enumeration_order(l):
+    space = enumerate_partitions(l)
+    codes = growth_codes(space.assignment_array)
+    assert np.all(np.diff(codes) > 0)
+    picks = np.random.default_rng(l).integers(0, space.g, size=50)
+    assert np.array_equal(space.index_of_codes(codes[picks]), picks)
+    reordered = PartitionSpace(l=l, partitions=space.partitions[::-1])
+    assert np.array_equal(reordered.index_of_codes(codes[picks]), space.g - 1 - picks)
+    restricted = PartitionSpace(l=l, partitions=space.partitions[:1])
+    with pytest.raises(DomainError, match="not in the partition space"):
+        restricted.index_of_codes(codes[-1:])

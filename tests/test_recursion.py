@@ -1,0 +1,180 @@
+"""The subset recursion against the partition x cell lattice it replaces."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uncpool import (SurveyData, build_grid, enumerate_partitions, evaluate_joint,
+                     exact_mixture_moments, log_inv_beta_prior, marginal_g, pool_all,
+                     sample_mu, summarize)
+from uncpool import baselines, kernels
+from uncpool.grid import _listed_partitions
+from uncpool.kernels import partition_sums, q_matrix, subset_splits, subset_table
+
+
+def lattice(data, grid):
+    """Normalised (G, R) log masses and log evidence, summed over the whole lattice."""
+    space = enumerate_partitions(data.l)
+    y, v, d2 = data.y_hat, data.v, grid.deltas2
+    table = subset_table(y, v, d2)
+    base = 0.5 * np.log(v[:, None] / (d2[None, :] + v[:, None])).sum(axis=0)
+    lm = -0.5 * q_matrix(table, space.cluster_masks)
+    lm += (base + log_inv_beta_prior(d2) + grid.log_prior_mass - math.log(space.g))[None, :]
+    lm -= 0.5 * space.d_array[:, None]
+    top = lm.max()
+    log_z = float(top + np.log(np.exp(lm - top).sum()))
+    return space, table, lm - log_z, log_z
+
+
+def lattice_moments(data, space, table, lm):
+    """Mean and SD of each mu_i over every (partition, cell), the SD about the mean."""
+    w = np.exp(lm)
+    d2 = table.deltas2
+    mean, sd = np.empty(data.l), np.empty(data.l)
+    for i in range(data.l):
+        rows = space.member_masks[:, i]
+        oml = data.v[i] / (d2 + data.v[i])
+        cond_mean = d2 / (d2 + data.v[i]) * (data.y_hat[i] - table.shift) + oml * table.ybar[rows]
+        cond_var = d2 * oml + oml * oml / table.a[rows]
+        mean[i] = (w * cond_mean).sum()
+        sd[i] = math.sqrt((w * (cond_var + (cond_mean - mean[i]) ** 2)).sum())
+    return table.shift + mean, sd
+
+
+def random_data(rng, l):
+    """Estimates with sampling variances spanning 1e-6 to 1."""
+    return SurveyData([f"s{i}" for i in range(l)], rng.normal(0.3, 0.3, size=l),
+                      10.0 ** rng.uniform(-6.0, 0.0, size=l))
+
+
+@pytest.mark.parametrize("l", [9, 12])
+def test_splits_count_past_eight_sources(l):
+    splits = subset_splits(l)
+    assert splits.block.shape == ((3 ** l - 1) // 2,)
+    sizes = np.array([bin(s).count("1") for s in range(1, 1 << l)])
+    assert np.array_equal(splits.count[1:], 1 << (sizes - 1))
+    assert splits.count[-1] == 1 << (l - 1)
+    assert [rows.stop - rows.start for _, rows in splits.layers] == [
+        math.comb(l, c) << (c - 1) for c in range(1, l + 1)]
+
+
+def test_splits_cover_every_block_once():
+    for l in range(1, 7):
+        splits = subset_splits(l)
+        assert splits.block.shape == ((3 ** l - 1) // 2,)
+        assert splits.count[-1] == 1 << (l - 1)
+        for u in range(1, 1 << l):
+            rows = slice(splits.start[u], splits.start[u] + splits.count[u])
+            low = u & -u
+            expect = sorted(low | t for t in range(1 << l) if t & ~(u ^ low) == 0)
+            assert sorted(splits.block[rows].tolist()) == expect
+            assert np.array_equal(splits.rest[rows], u ^ splits.block[rows])
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_partition_sums_match_products_over_partitions(l):
+    rng = np.random.default_rng(l)
+    phi = rng.uniform(0.05, 1.0, size=(1 << l, 7))
+    phi[0] = 1.0      # pads the cluster lists of partitions with fewer than L blocks
+    space = enumerate_partitions(l)
+    brute = np.prod(phi[space.cluster_masks], axis=1).sum(axis=0)
+    assert partition_sums(phi)[-1] == pytest.approx(brute, rel=1e-13)
+
+
+def test_partition_sums_in_column_blocks(monkeypatch):
+    phi = np.random.default_rng(0).uniform(0.05, 1.0, size=(1 << 6, 11))
+    whole = partition_sums(phi)
+    monkeypatch.setattr(kernels, "_SPLIT_CELLS", 300)   # forces blocks of 2 columns
+    assert partition_sums(phi) == pytest.approx(whole, rel=1e-15)
+
+
+@pytest.mark.parametrize("l", range(1, 11))
+def test_recursion_matches_lattice(l):
+    rng = np.random.default_rng(100 + l)
+    data = random_data(rng, l)
+    grid = build_grid(60 if l <= 8 else 12)
+    space, table, lm, log_z = lattice(data, grid)
+    jp = evaluate_joint(data, space, grid)
+    assert jp.log_evidence == pytest.approx(log_z, abs=1e-12)
+    assert np.max(np.abs(jp.delta2_probs - np.exp(lm).sum(axis=0))) < 1e-12
+    mean, sd = exact_mixture_moments(data, jp)
+    want_mean, want_sd = lattice_moments(data, space, table, lm)
+    assert np.max(np.abs(mean - want_mean)) < 1e-12
+    assert np.max(np.abs(sd - want_sd)) < 1e-12
+    pg = np.exp(lm).sum(axis=1)
+    g, probs = _listed_partitions(jp, 0.0)
+    assert g.tolist() == list(range(space.g))
+    assert np.max(np.abs(probs - pg)) < 1e-12
+    assert np.max(np.abs(marginal_g(jp) - pg)) < 1e-12
+    # the pruned listing keeps exactly the partitions at or above the threshold
+    assert _listed_partitions(jp, 1e-3)[0].tolist() == np.flatnonzero(pg >= 1e-3).tolist()
+
+
+@pytest.mark.parametrize("l", [4, 8, 10])
+def test_peel_draws_follow_exact_posterior(l):
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(7 * l)
+    centres = np.array([0.2, 0.3, 0.45])[np.arange(l) % 3]
+    se = rng.uniform(0.01, 0.04, size=l)
+    data = SurveyData([f"s{i}" for i in range(l)], rng.normal(centres, se), se ** 2)
+    jp = evaluate_joint(data, enumerate_partitions(l), build_grid(40))
+    b = 200_000
+    draws = sample_mu(data, jp, b, seed=l)
+    cells = np.searchsorted(jp.grid.deltas2, draws.delta2_values)
+    for exact, idx in ((marginal_g(jp), draws.g_indices), (jp.delta2_probs, cells)):
+        expected = b * exact
+        big = expected >= 5.0
+        observed = np.bincount(idx, minlength=exact.size)
+        obs, exp = observed[big], expected[big]
+        if expected[~big].sum() >= 5.0:      # pool the rare outcomes into one bin
+            obs = np.append(obs, observed[~big].sum())
+            exp = np.append(exp, expected[~big].sum())
+        else:
+            obs[-1] += observed[~big].sum()
+            exp[-1] += expected[~big].sum()
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert stat < chi2.ppf(1.0 - 1e-4, obs.size - 1), (stat, obs.size - 1)
+
+
+def test_pool_pipeline_never_builds_the_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(kernels, "q_matrix", refuse)
+    data = random_data(np.random.default_rng(8), 8)
+    grid = build_grid(50)
+    jp = evaluate_joint(data, enumerate_partitions(8), grid)
+    pa = pool_all(data, grid, b=500, seed=1, jp=jp)
+    draws = sample_mu(data, jp, 500, seed=2)
+    table = summarize(data, jp, draws, pool_all=pa, threshold=1e-3)
+    assert table.partition_probs and "log_mass" not in vars(jp)
+    monkeypatch.setattr(baselines, "enumerate_partitions", refuse)
+    assert pool_all(data, grid, b=500, seed=1).mean == pa.mean
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_recursion_permutes_with_the_sources(draw):
+    l = draw.draw(st.integers(1, 6))
+    y = np.array(draw.draw(st.lists(st.floats(-1.0, 1.0), min_size=l, max_size=l)))
+    v = 10.0 ** np.array(draw.draw(st.lists(st.floats(-6.0, 0.0), min_size=l, max_size=l)))
+    perm = np.array(draw.draw(st.permutations(range(l))))
+    grid = build_grid(30)
+    data = SurveyData([f"s{i}" for i in range(l)], y, v)
+    moved = SurveyData([f"s{i}" for i in perm], y[perm], v[perm])
+    space = enumerate_partitions(l)
+    jp, jq = evaluate_joint(data, space, grid), evaluate_joint(moved, space, grid)
+    mean, sd = exact_mixture_moments(data, jp)
+    mean_q, sd_q = exact_mixture_moments(moved, jq)
+    assert np.max(np.abs(jq.delta2_probs - jp.delta2_probs)) < 1e-12
+    assert np.max(np.abs(mean_q - mean[perm])) < 1e-12
+    assert np.max(np.abs(sd_q - sd[perm])) < 1e-12
+    _, table, lm, _ = lattice(data, grid)
+    assert np.max(np.abs(jp.delta2_probs - np.exp(lm).sum(axis=0))) < 1e-12
+    want_mean, want_sd = lattice_moments(data, space, table, lm)
+    assert np.max(np.abs(mean - want_mean)) < 1e-12
+    assert np.max(np.abs(sd - want_sd)) < 1e-12
