@@ -211,6 +211,10 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     )
 
 
+#: Largest L the exact DPM oracle enumerates.
+DPM_EXACT_MAX_L = 8
+
+
 @dataclass(frozen=True)
 class DpmExactResult:
     """Exact DPM posterior at fixed base parameters, by partition enumeration."""
@@ -221,13 +225,13 @@ class DpmExactResult:
     post_sd: np.ndarray       # (L,)
 
 
-def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float,
-              max_l: int = 8) -> DpmExactResult:
+def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactResult:
     """Exact DPM partition posterior and survey moments at fixed (eta, tau2).
 
-    Enumerates all partitions (L <= 8), weighting each by its DP prior times
-    the product of its clusters' closed-form marginal likelihoods; survey
-    moments mix the conjugate within-cluster posteriors over partitions.
+    Enumerates all partitions (L <= DPM_EXACT_MAX_L), weighting each by its
+    DP prior times the product of its clusters' closed-form marginal
+    likelihoods; survey moments mix the conjugate within-cluster posteriors
+    over partitions.
     Serves as the correctness oracle for :func:`dpm_gibbs`.
 
     Every cluster term is read from the subset table at delta2 = 0, whose
@@ -236,8 +240,8 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float,
     partition, the log marginal -log(1 + tau2 A)/2 - [q + A (ybar - eta)^2
     / (1 + tau2 A)]/2, and its DP prior factor is m * Gamma(|S|).
     """
-    if data.l > max_l:
-        raise DomainError(f"exact enumeration supports L <= {max_l}, got L={data.l}")
+    if data.l > DPM_EXACT_MAX_L:
+        raise DomainError(f"exact enumeration supports L <= {DPM_EXACT_MAX_L}, got L={data.l}")
     if tau2 <= 0:
         raise DomainError("tau2 must be > 0")
     if m <= 0:

@@ -136,27 +136,24 @@ def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid) -> 
     partition sums Z of every subset, in O(3^L R) time and O(2^L R)
     memory.  The log evidence is log sum_j c_j Z(full, j) - log Bell(L),
     the log of the mean kernel weight over partitions, summed over cells.
-    ``space`` must be the full enumeration of the L sources.
+    ``space`` must be the full enumeration of the L sources, which every
+    ``PartitionSpace`` is; only its L is checked against the data.
     """
     if data.l != space.l:
         raise DomainError(f"data has L={data.l} but partition space has L={space.l}")
-    if space.g != bell_number(space.l):
-        raise DomainError(f"the posterior needs all Bell({space.l}) = {bell_number(space.l)} "
-                          f"partitions; the space holds {space.g}")
     table, phi, z, log_cell, log_evidence, p = _solve(data, grid)
     return JointGridPosterior(grid=grid, space=space, table=table, log_evidence=log_evidence,
                               phi=phi, z=z, log_cell=log_cell, delta2_probs=p)
 
 
 def marginal_g(jp: JointGridPosterior) -> np.ndarray:
-    """Posterior probability of each partition, from the subset recursion.
+    """Posterior probability of each partition, in enumeration order.
 
-    Equals the row sums of the lattice view ``jp.log_mass`` without building it.
+    The listing of :func:`_listed_partitions` with nothing pruned, so every
+    partition of the space; equals the row sums of the lattice view
+    ``jp.log_mass`` without building it.
     """
-    g, probs = _listed_partitions(jp, 0.0)
-    out = np.zeros(jp.space.g)
-    out[g] = probs
-    return out
+    return _listed_partitions(jp, 0.0)[1]
 
 
 def marginal_delta2(jp: JointGridPosterior) -> np.ndarray:
@@ -215,7 +212,8 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
     """
     d2, cols = np.unique(delta2, return_inverse=True)
     table = kernels.subset_table(data.y_hat, data.v, d2)
-    members = PartitionSpace(l=p.l, partitions=(p,)).member_masks
+    a = np.array(p.assignment)
+    members = (a[:, None] == a[None, :]) @ (1 << np.arange(p.l))   # source i's cluster
     shape = (delta2.shape[0], p.l)
     return _draw_mu(data, table, np.broadcast_to(members, shape),
                     np.broadcast_to(p.assignment, shape), cols, rng)

@@ -48,8 +48,8 @@ class InputRecord:
         if summary:
             if self.estimate is None or self.se is None or not math.isfinite(self.estimate):
                 raise DomainError("summary record needs finite estimate and se")
-            if not (math.isfinite(self.se) and self.se > 0):
-                raise DomainError(f"se must be > 0, got {self.se}")
+            if not (self.se > 0 and 0 < self.se * self.se < math.inf):
+                raise DomainError(f"se must be > 0 with a finite, nonzero square; got {self.se}")
         else:
             if self.cases is None or self.total is None:
                 raise DomainError("binomial record needs cases and total")
@@ -159,6 +159,8 @@ class RunConfig:
             raise DomainError("draw count b must be >= 1")
         if self.format not in ("json", "csv", "md"):
             raise DomainError(f"unknown output format {self.format!r}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise DomainError(f"threshold must be a probability in [0, 1], got {self.threshold}")
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Largest L enumerated by default; Bell(12) = 4,213,597 partitions is the
-#: practical memory bound for exhaustive enumeration.
-DEFAULT_MAX_L = 12
+#: Largest L enumerated; Bell(12) = 4,213,597 partitions is the practical
+#: memory bound for exhaustive enumeration.
+MAX_L = 12
 
 
 def bell_number(l: int) -> int:
@@ -104,8 +104,8 @@ class Partition:
 class _PartitionSequence(Sequence):
     """Read-only sequence of partitions over a (G, L) array of growth strings.
 
-    Behaves like a tuple of :class:`Partition` (indexing, slices, iteration,
-    equality) but builds each ``Partition`` only when it is asked for.
+    Behaves like a tuple of :class:`Partition` (indexing, slices, iteration)
+    but builds each ``Partition`` only when it is asked for.
     """
 
     __slots__ = ("array",)
@@ -124,70 +124,43 @@ class _PartitionSequence(Sequence):
     def __iter__(self):
         return (Partition(tuple(a)) for a in self.array.tolist())
 
-    def __contains__(self, p) -> bool:
-        return self._find(p) is not None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _PartitionSequence):
-            return np.array_equal(self.array, other.array)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.array.shape, self.array.tobytes()))
-
     def __repr__(self) -> str:
         return f"<{len(self)} partitions of {self.array.shape[1]}>"
-
-    def _find(self, p) -> int | None:
-        if not isinstance(p, Partition) or p.l != self.array.shape[1]:
-            return None
-        hits = np.flatnonzero((self.array == p.assignment).all(axis=1))
-        return int(hits[0]) if hits.size else None
-
-    def index(self, p) -> int:
-        g = self._find(p)
-        if g is None:
-            raise ValueError(f"{p!r} is not in the partition space")
-        return g
 
 
 @dataclass(frozen=True)
 class PartitionSpace:
-    """All partitions of {1..L} in lexicographic restricted-growth order.
+    """All B(L) partitions of {1..L}, in lexicographic restricted-growth order.
 
-    ``partitions`` may be given as any sequence of :class:`Partition`; it is
-    stored as a sequence backed by the (G, L) growth-string array, which the
-    numeric kernels read directly.
+    The space is always the full enumeration, so it is fixed by ``l``
+    alone: spaces compare and hash by ``l``.  The (G, L) growth-string
+    array is built on first read; ``partitions`` reads it as a sequence
+    of :class:`Partition` and the numeric kernels read it directly.
     """
 
     l: int
-    partitions: Sequence[Partition]
 
     def __post_init__(self):
-        if not isinstance(self.partitions, _PartitionSequence):
-            parts = tuple(self.partitions)
-            if any(p.l != self.l for p in parts):
-                raise DomainError(f"every partition of a space with L={self.l} "
-                                  f"needs {self.l} elements")
-            rows = np.array([p.assignment for p in parts], dtype=np.int64).reshape(-1, self.l)
-            codes = growth_codes(rows)
-            order = np.argsort(codes, kind="stable")
-            repeats = np.flatnonzero(np.diff(codes[order]) == 0)
-            if repeats.size:
-                p = parts[order[repeats[0]]]
-                raise DomainError(f"partition {p.notation()} is listed more than once")
-            rows.flags.writeable = False
-            object.__setattr__(self, "partitions", _PartitionSequence(rows))
+        if not 1 <= self.l <= MAX_L:
+            raise DomainError(
+                f"source count must satisfy 1 <= L <= {MAX_L} (Bell({MAX_L}) = "
+                f"{bell_number(MAX_L)} partitions is the enumeration bound); got {self.l}"
+            )
 
     @property
     def g(self) -> int:
-        """Total partition count; equals the Bell number B(L)."""
-        return len(self.partitions)
+        """Total partition count, the Bell number B(L)."""
+        return bell_number(self.l)
 
     @cached_property
     def assignment_array(self) -> np.ndarray:
         """(G, L) int64 matrix of growth strings, for the numeric kernels (read-only)."""
-        return self.partitions.array
+        return _growth_string_array(self.l)
+
+    @cached_property
+    def partitions(self) -> Sequence[Partition]:
+        """The partitions in enumeration order, built from the array on demand."""
+        return _PartitionSequence(self.assignment_array)
 
     @cached_property
     def d_array(self) -> np.ndarray:
@@ -213,27 +186,22 @@ class PartitionSpace:
         """(G, L) subset bitmask of the cluster holding source i in each partition."""
         return np.take_along_axis(self.cluster_masks, self.assignment_array, axis=1)
 
-    def index_of(self, p: Partition) -> int:
-        return self.partitions.index(p)
-
     @cached_property
-    def _code_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The partitions' growth-string codes sorted, and the index of each."""
-        codes = growth_codes(self.assignment_array)
-        order = np.argsort(codes, kind="stable")
-        return codes[order], order
+    def _codes(self) -> np.ndarray:
+        """(G,) growth-string codes of the partitions, ascending with the enumeration."""
+        return growth_codes(self.assignment_array)
 
     def index_of_codes(self, codes: np.ndarray) -> np.ndarray:
         """Index in this space of the partition behind each growth-string code.
 
-        ``codes`` come from :func:`growth_codes`; a code of a partition
-        outside the space raises ``DomainError``.
+        ``codes`` come from :func:`growth_codes`; a code that is not of a
+        growth string of length L raises ``DomainError``.
         """
-        known, order = self._code_order
+        known = self._codes
         pos = np.minimum(np.searchsorted(known, codes), known.shape[0] - 1)
         if not np.array_equal(known[pos], codes):
             raise DomainError("a partition is not in the partition space")
-        return order[pos]
+        return pos
 
 
 def growth_codes(assignments: np.ndarray) -> np.ndarray:
@@ -275,31 +243,15 @@ def _growth_string_array(l: int) -> np.ndarray:
     return out
 
 
-def enumerate_partitions(l: int, max_l: int = DEFAULT_MAX_L) -> PartitionSpace:
-    """Enumerate every set partition of {1..l}.
+def enumerate_partitions(l: int) -> PartitionSpace:
+    """Every set partition of {1..l}, 1 <= l <= MAX_L, as a :class:`PartitionSpace`.
 
-    Parameters
-    ----------
-    l : int
-        Number of elements, 1 <= l <= max_l.
-    max_l : int
-        Enumeration bound; raise above the default (12) only if the
-        Bell-number memory cost is acceptable.
-
-    Returns
-    -------
-    PartitionSpace
-        All B(l) partitions in lexicographic restricted-growth order, held
-        as one growth-string array; ``Partition`` objects are built only
-        when ``space.partitions`` is indexed or iterated.  Pure function of
-        ``l``: repeated calls give identical output.
+    The B(l) partitions come in lexicographic restricted-growth order, held
+    as one growth-string array; ``Partition`` objects are built only when
+    ``space.partitions`` is indexed or iterated.  Pure function of ``l``:
+    repeated calls give identical output.
     """
-    if l < 1 or l > max_l:
-        raise DomainError(
-            f"source count must satisfy 1 <= L <= {max_l} "
-            f"(Bell({max_l}) = {bell_number(max_l)} partitions is the enumeration bound); got {l}"
-        )
-    return PartitionSpace(l=l, partitions=_PartitionSequence(_growth_string_array(l)))
+    return PartitionSpace(l)
 
 
 # Conventional 1..5 numbering used in three-source reports.  Keys are growth

@@ -59,6 +59,12 @@ def test_pool_threshold_flag(dixie_file, tmp_path):
     assert len(probs) >= 1
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "2"])
+def test_pool_rejects_threshold_outside_unit_interval(dixie_file, capsys, threshold):
+    assert run_command(["pool", "--input", str(dixie_file), "--threshold", threshold]) == 1
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_pool_markdown_and_csv(dixie_file, capsys):
     assert run_command(["pool", "--input", str(dixie_file), "--r", "300",
                         "--b", "500", "--format", "md"]) == 0
@@ -135,6 +141,20 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["{1,2}", "{1}|{2}"]
+
+
+def test_cli_import_stays_lazy():
+    # a command that does not simulate must not pay for the harness or its pool
+    import subprocess
+    import sys
+
+    code = ("import sys, uncpool, uncpool.cli\n"
+            "assert 'uncpool.simulation' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "missing = [n for n in uncpool.__all__ if not hasattr(uncpool, n)]\n"
+            "assert not missing, missing\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_echoes_keep_their_keys(dixie_file, tmp_path):

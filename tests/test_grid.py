@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from uncpool import (ComputationError, DomainError, JointGridPosterior, Partition,
-                     PartitionSpace, SurveyData, build_grid, conditional_moments,
-                     enumerate_partitions, evaluate_joint, exact_mixture_moments,
-                     log_joint_kernel, marginal_delta2, marginal_g, pool_all, q_statistic,
-                     sample_mu, summarize)
+                     SurveyData, build_grid, conditional_moments, enumerate_partitions,
+                     evaluate_joint, exact_mixture_moments, log_joint_kernel,
+                     marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu, summarize)
 from uncpool.grid import _draw_mu_for_partition
 from uncpool.kernels import SubsetTable, partition_sums, q_matrix, subset_table
 
@@ -136,13 +135,6 @@ def test_mismatched_space_rejected(dixie_panel1):
         evaluate_joint(dixie_panel1, enumerate_partitions(2), build_grid(16))
 
 
-def test_restricted_space_rejected(dixie_panel1):
-    full = enumerate_partitions(3)
-    with pytest.raises(DomainError, match=r"Bell\(3\) = 5"):
-        evaluate_joint(dixie_panel1, PartitionSpace(l=3, partitions=full.partitions[:1]),
-                       build_grid(16))
-
-
 def test_non_finite_weight_raises_named_cell():
     # estimates of 1e200 overflow the misfit sums to inf - inf
     data = SurveyData(["a", "b", "c"], [1e200, -1e200, 0.0], [1.0, 1.0, 1.0])
@@ -226,10 +218,12 @@ def test_refinement_stability(dixie_panel1):
 # sampling
 # ---------------------------------------------------------------------------
 
-def test_two_stage_sampler_matches_closed_form_moments():
+# the second partition interleaves its clusters, where a wrong member mask shows
+@pytest.mark.parametrize("assignment", [(0, 0, 1, 0), (0, 1, 0, 1)], ids=["0010", "0101"])
+def test_two_stage_sampler_matches_closed_form_moments(assignment):
     rng = np.random.default_rng(21)
     data = small_data(rng, 4)
-    p = Partition((0, 0, 1, 0))
+    p = Partition(assignment)
     d2 = 4e-4
     b = 200_000
     draws = _draw_mu_for_partition(data, p, np.full(b, d2), np.random.default_rng(99))

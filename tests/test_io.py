@@ -110,8 +110,9 @@ def test_parse_errors_carry_line_numbers():
         parse_input(io.StringIO("label,estimate,se\nA,0.2,0.01\nB,0.3\n"))
     with pytest.raises(ParseError, match="line 2"):
         parse_input(io.StringIO("label,estimate,se\nA,x,0.01\n"))
-    with pytest.raises(ParseError, match="line 2.*se"):
-        parse_input(io.StringIO("label,estimate,se\nA,0.2,0\n"))
+    for se in ("0", "1e-170", "1e200"):     # the last two square to 0 and to inf
+        with pytest.raises(ParseError, match="line 2.*se"):
+            parse_input(io.StringIO(f"label,estimate,se\nA,0.2,{se}\n"))
     with pytest.raises(ParseError, match="line 3"):
         parse_input(io.StringIO("label,cases,total\nA,5,10\nB,11,10\n"))
     with pytest.raises(ParseError, match="line 2"):
