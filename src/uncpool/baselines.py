@@ -15,7 +15,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import DeltaGrid, JointGridPosterior, _draw_cells, _solve, marginal_delta2
+from .grid import (DeltaGrid, JointGridPosterior, _draw_cells, _solve, interval95,
+                   marginal_delta2)
 from .model import SurveyData
 from .partitions import Partition, PartitionSpace, enumerate_partitions, growth_codes
 
@@ -61,7 +62,7 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     rng = np.random.default_rng(seed)
     cells = _draw_cells(weights, b, rng)   # overwrites weights
     draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
-    lo, hi = np.quantile(draws, [0.025, 0.975])
+    lo, hi = interval95(draws)
     return PoolAllPosterior(mean=shift + mean, sd=sd,
                             interval=(shift + float(lo), shift + float(hi)), grid=grid)
 
@@ -165,8 +166,12 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     the base precision are then redrawn from their conjugate conditionals.
     The concentration m stays fixed.  Reproducible given the seed.
     """
+    if cfg.burn_in < 0:
+        raise DomainError(f"burn_in must be >= 0, got {cfg.burn_in}")
     if cfg.iterations <= cfg.burn_in:
         raise DomainError("iterations must exceed burn_in")
+    if cfg.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.thin < 1:
         raise DomainError("thin must be >= 1")
     if cfg.m <= 0:
@@ -196,7 +201,7 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
         cfg.burn_in, cfg.thin,
         uniforms, norm_phi, norm_eta, gammas,
     )
-    lo, hi = np.quantile(theta, [0.025, 0.975], axis=0)
+    lo, hi = interval95(theta)
     return DpmDraws(
         config=cfg,
         resolved=res,

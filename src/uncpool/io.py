@@ -157,6 +157,8 @@ class RunConfig:
             raise DomainError("grid size r must be >= 2")
         if self.b < 1:
             raise DomainError("draw count b must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.format not in ("json", "csv", "md"):
             raise DomainError(f"unknown output format {self.format!r}")
         if not 0.0 <= self.threshold <= 1.0:

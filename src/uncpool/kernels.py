@@ -31,10 +31,10 @@ partitions.  :func:`subset_splits` lists those splits once per L.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -195,79 +195,107 @@ def partition_sums(phi: np.ndarray) -> np.ndarray:
 # through these pre-drawn shapes, so the chain itself does not take it.
 # ---------------------------------------------------------------------------
 
+def _flat(a: np.ndarray) -> memoryview:
+    """A flat float64 view of ``a`` whose items index as Python floats."""
+    return memoryview(np.ascontiguousarray(a, dtype=np.float64)).cast("B").cast("d")
+
+
 def dpm_chain(y, v, m, eta_b, s_b, phi2, eta0, tau20,
               update_eta, update_tau2, burn, thin,
               uniforms, norm_phi, norm_eta, gammas):
+    """Run T sweeps; return the labels, values, eta and tau2 of sweeps burn, burn+thin, ...
+
+    Cluster c is the ascending member list ``clusters[c]``, and source i
+    sits in cluster ``label[i]``.  A cluster's posterior mean and variance
+    start from 1/tau2 and eta/tau2 and add 1/V_j and y_j/V_j over its
+    members in ascending order.  They are cached for the sweep and
+    recomputed only for the cluster a source leaves or joins.  The caller
+    checks burn >= 0 and thin >= 1.
+    """
     T, L = uniforms.shape
     y, v = y.tolist(), v.tolist()
-    keep = range(burn, T, thin)
-    z_hist = np.empty((len(keep), L), dtype=np.int64)
-    theta_hist = np.empty((len(keep), L))
-    eta_hist = np.empty(len(keep))
-    tau2_hist = np.empty(len(keep))
-
-    # cluster c is the ascending member list clusters[c]
-    clusters = [[i] for i in range(L)]
-    eta, tau2 = eta0, tau20
+    inv_v = [1.0 / vj for vj in v]
+    y_v = [yj / vj for yj, vj in zip(y, v)]
+    log_n = [0.0] + [math.log(n) for n in range(1, L + 1)]
     log_m, log2pi = math.log(m), math.log(2.0 * math.pi)
+    log, exp, sqrt = math.log, math.exp, math.sqrt
+    u_all, nphi_all, neta_all, gam_all = map(_flat, (uniforms, norm_phi, norm_eta, gammas))
+    z_hist, theta_hist, eta_hist, tau2_hist = array("q"), array("d"), array("d"), array("d")
+
+    clusters = [[i] for i in range(L)]
+    label = list(range(L))
+    eta, tau2 = eta0, tau20
+    next_keep = burn
+    sites = range(L)
 
     def posterior(members):
-        """Mean and variance of a cluster's value given its members."""
-        prec, num = 1.0 / tau2, eta / tau2
+        """Mean, variance and log size of a cluster's value given its members."""
+        prec, num = prec0, num0
         for j in members:
-            prec += 1.0 / v[j]
-            num += y[j] / v[j]
-        return num / prec, 1.0 / prec
+            prec += inv_v[j]
+            num += y_v[j]
+        return num / prec, 1.0 / prec, log_n[len(members)]
 
     for t in range(T):
-        u = uniforms[t].tolist()
-        for i in range(L):
+        u, nphi = u_all[t * L:(t + 1) * L], nphi_all[t * L:(t + 1) * L]
+        prec0, num0 = 1.0 / tau2, eta / tau2
+        post = [posterior(members) for members in clusters]
+        for i in sites:
             # detach i; deleting an emptied cluster shifts later labels down
-            c = next(c for c, members in enumerate(clusters) if i in members)
-            clusters[c].remove(i)
-            if not clusters[c]:
-                del clusters[c]
+            c = label[i]
+            members = clusters[c]
+            members.remove(i)
+            if members:
+                post[c] = posterior(members)
+            else:
+                del clusters[c], post[c]
+                for j in sites:
+                    if label[j] > c:
+                        label[j] -= 1
             # posterior predictive weight for each existing cluster, then a new one
+            yi, vi = y[i], v[i]
             logw = []
-            for members in clusters:
-                mc, sc = posterior(members)
-                tot = sc + v[i]
-                logw.append(math.log(len(members)) - 0.5 * (log2pi + math.log(tot))
-                            - 0.5 * (y[i] - mc) ** 2 / tot)
-            tot = tau2 + v[i]
-            logw.append(log_m - 0.5 * (log2pi + math.log(tot)) - 0.5 * (y[i] - eta) ** 2 / tot)
+            for mc, sc, log_size in post:
+                tot = sc + vi
+                logw.append(log_size - 0.5 * (log2pi + log(tot)) - 0.5 * (yi - mc) ** 2 / tot)
+            tot = tau2 + vi
+            logw.append(log_m - 0.5 * (log2pi + log(tot)) - 0.5 * (yi - eta) ** 2 / tot)
             mx = max(logw)
-            acc = list(accumulate([math.exp(lw - mx) for lw in logw]))
-            target = u[i] * acc[-1]
-            pick = next((c for c, a in enumerate(acc) if a >= target), len(clusters))
-            if pick < len(clusters):
+            acc = []
+            s = 0.0
+            for lw in logw:
+                s += exp(lw - mx)
+                acc.append(s)
+            # the first cluster whose running sum reaches the target; a NaN opens one
+            k = len(clusters)
+            target = u[i] * s
+            pick = bisect_left(acc, target) if target == target else k
+            label[i] = pick
+            if pick < k:
                 insort(clusters[pick], i)
+                post[pick] = posterior(clusters[pick])
             else:
                 clusters.append([i])
+                post.append(posterior([i]))
         # cluster values, base mean, base variance
-        phi = []
-        for members, n in zip(clusters, norm_phi[t].tolist()):
-            mc, sc = posterior(members)
-            phi.append(mc + math.sqrt(sc) * n)
+        phi = [mc + sqrt(sc) * n for (mc, sc, _), n in zip(post, nphi)]
         k = len(clusters)
         if update_eta:
             prec, num = 1.0 / s_b + k / tau2, eta_b / s_b
             for p in phi:
                 num += p / tau2
-            eta = num / prec + math.sqrt(1.0 / prec) * float(norm_eta[t])
+            eta = num / prec + sqrt(1.0 / prec) * neta_all[t]
         if update_tau2:
             rate = phi2 / 2.0
             for p in phi:
                 rate += 0.5 * (p - eta) ** 2
-            tau2 = rate / float(gammas[t, k - 1])
-        if t in keep:
-            row = (t - burn) // thin
-            z = [0] * L
-            for c, members in enumerate(clusters):
-                for j in members:
-                    z[j] = c
-            z_hist[row] = z
-            theta_hist[row] = [phi[c] for c in z]
-            eta_hist[row] = eta
-            tau2_hist[row] = tau2
-    return z_hist, theta_hist, eta_hist, tau2_hist
+            tau2 = rate / gam_all[t * L + k - 1]
+        if t == next_keep:
+            next_keep += thin
+            z_hist.extend(label)
+            theta_hist.extend(map(phi.__getitem__, label))
+            eta_hist.append(eta)
+            tau2_hist.append(tau2)
+    return (np.frombuffer(z_hist, dtype=np.int64).reshape(-1, L),
+            np.frombuffer(theta_hist).reshape(-1, L),
+            np.frombuffer(eta_hist), np.frombuffer(tau2_hist))

@@ -14,8 +14,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DomainError
-from .grid import (DeltaGrid, build_grid, evaluate_joint, exact_mixture_moments, marginal_g,
-                   sample_mu)
+from .grid import (DeltaGrid, build_grid, evaluate_joint, exact_mixture_moments, interval95,
+                   marginal_g, sample_mu)
 from .model import SurveyData
 from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
 
@@ -43,6 +43,8 @@ class SimScenario:
             raise DomainError("reps must be >= 1")
         if self.v1 <= 0 or self.v2 <= 0:
             raise DomainError("generating variances must be > 0")
+        if self.base_seed < 0:
+            raise DomainError(f"base_seed must be >= 0, got {self.base_seed}")
 
     @property
     def truth(self) -> np.ndarray:
@@ -105,7 +107,7 @@ def _run_replicate(s: SimScenario, rep_index: int, shared: _Shared | None = None
     jp = evaluate_joint(data, shared.space, shared.grid)
     mean, sd = exact_mixture_moments(data, jp)
     draws = sample_mu(data, jp, s.b, mu_seed)
-    lo, hi = np.quantile(draws.mu, [0.025, 0.975], axis=0)
+    lo, hi = interval95(draws.mu)
     pg = marginal_g(jp)
     truth = s.truth
     return {

@@ -288,6 +288,11 @@ def test_dpm_gibbs_validation():
         dpm_gibbs(data, DpmConfig(s_b=np.inf))
     with pytest.raises(DomainError):
         dpm_gibbs(data, DpmConfig(thin=0))
+    # a negative burn-in would keep history rows that no sweep writes
+    with pytest.raises(DomainError, match="burn_in"):
+        dpm_gibbs(data, DpmConfig(iterations=50, burn_in=-5))
+    with pytest.raises(DomainError, match="seed"):
+        dpm_gibbs(data, DpmConfig(iterations=50, burn_in=5, seed=-1))
 
 
 def test_dpm_gibbs_reproducible_and_seed_sensitive():

@@ -100,6 +100,20 @@ def test_dpm_command(dixie_file, tmp_path):
     assert all(r["ci_lower"] <= r["post_mean"] <= r["ci_upper"] for r in rows)
 
 
+def test_dpm_rejects_negative_burn_in(dixie_file, capsys):
+    assert run_command(["dpm", "--input", str(dixie_file), "--iterations", "50",
+                        "--burn-in", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "burn_in" in err
+
+
+@pytest.mark.parametrize("cmd", ["pool", "pool-all", "dpm"])
+def test_negative_seed_is_a_domain_error(dixie_file, capsys, cmd):
+    assert run_command([cmd, "--input", str(dixie_file), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
 def test_dpm_rejects_grid_flags(dixie_file):
     # the chain uses no variance grid and no posterior-draw count
     assert run_command(["dpm", "--input", str(dixie_file), "--r", "300"]) == 2
@@ -117,6 +131,14 @@ def test_simulate_command(tmp_path, capsys):
     assert report["scenario"]["base_seed"] == 5
     csv_lines = (tmp_path / "simout.csv").read_text(encoding="utf-8").splitlines()
     assert len(csv_lines) == 2
+
+
+def test_simulate_rejects_negative_base_seed(tmp_path, capsys):
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 2\nr = 50\nb = 100\nbase_seed = -1\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen),
+                        "--output", str(tmp_path / "out")]) == 1
+    assert "base_seed" in capsys.readouterr().err
 
 
 def test_usage_errors_are_nonzero(tmp_path):
@@ -153,6 +175,23 @@ def test_cli_import_stays_lazy():
             "assert 'concurrent.futures' not in sys.modules\n"
             "missing = [n for n in uncpool.__all__ if not hasattr(uncpool, n)]\n"
             "assert not missing, missing\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_do_not_import_numpy_ma(dixie_file, tmp_path):
+    # np.quantile reaches np.unique, which imports numpy.ma; the intervals avoid it
+    import subprocess
+    import sys
+
+    runs = [["pool", "--r", "50", "--b", "200"], ["pool-all", "--r", "50", "--b", "200"],
+            ["dpm", "--iterations", "60", "--burn-in", "10"]]
+    code = ("import sys\n"
+            "from uncpool.cli import run_command\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + f'/report{{i}}.json'\n"
+            f"    assert run_command([*argv, '--input', {str(dixie_file)!r}, '--output', out]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -8,7 +8,7 @@ from uncpool import (ComputationError, DomainError, JointGridPosterior, Partitio
                      SurveyData, build_grid, conditional_moments, enumerate_partitions,
                      evaluate_joint, exact_mixture_moments, log_joint_kernel,
                      marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu, summarize)
-from uncpool.grid import _draw_mu_for_partition
+from uncpool.grid import _draw_mu_for_partition, interval95
 from uncpool.kernels import SubsetTable, partition_sums, q_matrix, subset_table
 
 from conftest import make_dixie
@@ -360,3 +360,32 @@ def test_bit_identical_rerun(dixie_panel1):
 
     a, b = run(), run()
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_interval95_equals_numpy_quantile_bit_for_bit():
+    rng = np.random.default_rng(95)
+    for n in [*range(1, 65), 4999, 5000, 10000]:
+        for shape in ((n,), (n, 3)):
+            smooth = rng.normal(0.3, 0.1, size=shape)
+            ties = rng.integers(0, 5, size=shape) * 0.25     # a few distinct values
+            for x in (smooth, ties):
+                before = x.copy()
+                want = np.quantile(x, [0.025, 0.975], axis=0)
+                assert _same_bits(interval95(x), want), (n, shape)
+                assert np.array_equal(x, before)                # input left unsorted
+
+
+def test_interval95_nan_column_gives_nan():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(200, 3))
+    x[17, 1] = np.nan
+    got = interval95(x)
+    assert _same_bits(got, np.quantile(x, [0.025, 0.975], axis=0))
+    assert np.isnan(got[:, 1]).all() and np.isfinite(got[:, [0, 2]]).all()
+    flat = x[:, 1]
+    assert _same_bits(interval95(flat), np.quantile(flat, [0.025, 0.975]))
+    assert np.isnan(interval95(flat)).all()

@@ -213,6 +213,8 @@ def test_run_config_validation():
         RunConfig(b=0)
     with pytest.raises(DomainError):
         RunConfig(format="xml")
+    with pytest.raises(DomainError, match="seed"):
+        RunConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """The per-subset engine against the scalar oracle in ``model.py``, and the DPM chain."""
 
+import math
+from bisect import insort
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
-from uncpool import SurveyData, q_statistic
+from uncpool import DpmConfig, SurveyData, dpm_gibbs, q_statistic
+from uncpool import kernels
 from uncpool.kernels import dpm_chain, q_matrix, subset_table
 from uncpool.partitions import enumerate_partitions
+
+from conftest import make_dixie
 
 
 def instance(rng, l, r):
@@ -78,3 +85,126 @@ def test_dpm_chain_thinning_and_shapes():
     assert eta.shape == (50,) and tau.shape == (50,)
     assert np.all(tau > 0)
     assert z.min() >= 0 and z.max() <= 2
+
+
+# The reference chain: a scan for each source's cluster, every cluster
+# re-summed at every site, and a preallocated history.  ``dpm_chain`` must
+# reproduce it bit for bit.
+def reference_chain(y, v, m, eta_b, s_b, phi2, eta0, tau20,
+                    update_eta, update_tau2, burn, thin,
+                    uniforms, norm_phi, norm_eta, gammas):
+    T, L = uniforms.shape
+    y, v = y.tolist(), v.tolist()
+    keep = range(burn, T, thin)
+    z_hist = np.empty((len(keep), L), dtype=np.int64)
+    theta_hist = np.empty((len(keep), L))
+    eta_hist = np.empty(len(keep))
+    tau2_hist = np.empty(len(keep))
+
+    # cluster c is the ascending member list clusters[c]
+    clusters = [[i] for i in range(L)]
+    eta, tau2 = eta0, tau20
+    log_m, log2pi = math.log(m), math.log(2.0 * math.pi)
+
+    def posterior(members):
+        """Mean and variance of a cluster's value given its members."""
+        prec, num = 1.0 / tau2, eta / tau2
+        for j in members:
+            prec += 1.0 / v[j]
+            num += y[j] / v[j]
+        return num / prec, 1.0 / prec
+
+    for t in range(T):
+        u = uniforms[t].tolist()
+        for i in range(L):
+            # detach i; deleting an emptied cluster shifts later labels down
+            c = next(c for c, members in enumerate(clusters) if i in members)
+            clusters[c].remove(i)
+            if not clusters[c]:
+                del clusters[c]
+            # posterior predictive weight for each existing cluster, then a new one
+            logw = []
+            for members in clusters:
+                mc, sc = posterior(members)
+                tot = sc + v[i]
+                logw.append(math.log(len(members)) - 0.5 * (log2pi + math.log(tot))
+                            - 0.5 * (y[i] - mc) ** 2 / tot)
+            tot = tau2 + v[i]
+            logw.append(log_m - 0.5 * (log2pi + math.log(tot)) - 0.5 * (y[i] - eta) ** 2 / tot)
+            mx = max(logw)
+            acc = list(accumulate([math.exp(lw - mx) for lw in logw]))
+            target = u[i] * acc[-1]
+            pick = next((c for c, a in enumerate(acc) if a >= target), len(clusters))
+            if pick < len(clusters):
+                insort(clusters[pick], i)
+            else:
+                clusters.append([i])
+        # cluster values, base mean, base variance
+        phi = []
+        for members, n in zip(clusters, norm_phi[t].tolist()):
+            mc, sc = posterior(members)
+            phi.append(mc + math.sqrt(sc) * n)
+        k = len(clusters)
+        if update_eta:
+            prec, num = 1.0 / s_b + k / tau2, eta_b / s_b
+            for p in phi:
+                num += p / tau2
+            eta = num / prec + math.sqrt(1.0 / prec) * float(norm_eta[t])
+        if update_tau2:
+            rate = phi2 / 2.0
+            for p in phi:
+                rate += 0.5 * (p - eta) ** 2
+            tau2 = rate / float(gammas[t, k - 1])
+        if t in keep:
+            row = (t - burn) // thin
+            z = [0] * L
+            for c, members in enumerate(clusters):
+                for j in members:
+                    z[j] = c
+            z_hist[row] = z
+            theta_hist[row] = [phi[c] for c in z]
+            eta_hist[row] = eta
+            tau2_hist[row] = tau2
+    return z_hist, theta_hist, eta_hist, tau2_hist
+
+
+def _random_chain_inputs(rng, l, t, burn, thin, update_eta, update_tau2):
+    y = rng.normal(0.3, 0.1, size=l)
+    v = rng.uniform(0.005, 0.05, size=l) ** 2
+    phi1 = rng.uniform(1.0, 4.0)
+    gammas = np.empty((t, l))
+    uniforms = rng.random((t, l))
+    norm_phi = rng.standard_normal((t, l))
+    norm_eta = rng.standard_normal(t)
+    for k in range(1, l + 1):
+        gammas[:, k - 1] = rng.gamma(phi1 / 2.0 + k / 2.0, 1.0, size=t)
+    m, phi2 = rng.uniform(0.3, 5.0), 2.0 * float(np.var(y)) + 1e-4
+    return (y, v, m, float(y.mean()), rng.uniform(0.005, 0.05), phi2,
+            float(rng.normal(0.3, 0.05)), phi2 / phi1, update_eta, update_tau2, burn, thin,
+            uniforms, norm_phi, norm_eta, gammas)
+
+
+@pytest.mark.parametrize("update_tau2", [False, True])
+@pytest.mark.parametrize("update_eta", [False, True])
+@pytest.mark.parametrize("l", [1, 2, 3, 5, 8])
+def test_dpm_chain_matches_reference_bit_for_bit(l, update_eta, update_tau2):
+    for seed in range(3):
+        for thin in (1, 3):
+            rng = np.random.default_rng([l, seed, thin, update_eta, update_tau2])
+            args = _random_chain_inputs(rng, l, 240, 40 + seed, thin, update_eta, update_tau2)
+            for got, want in zip(dpm_chain(*args), reference_chain(*args), strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def test_dpm_gibbs_reference_panel_matches_reference_chain(monkeypatch):
+    # Dixie k=1 at the default 12000 sweeps, through the library entry point
+    data = make_dixie(1.0)
+    got = dpm_gibbs(data, DpmConfig())
+    monkeypatch.setattr(kernels, "dpm_chain", reference_chain)
+    want = dpm_gibbs(data, DpmConfig())
+    for name in ("assignments", "theta", "eta", "tau2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert (got.post_mean, got.post_sd, got.ci_lower, got.ci_upper) == \
+        (want.post_mean, want.post_sd, want.ci_lower, want.ci_upper)

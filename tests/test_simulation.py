@@ -110,6 +110,8 @@ def test_scenario_validation():
         SimScenario(reps=0)
     with pytest.raises(DomainError):
         SimScenario(v1=0.0)
+    with pytest.raises(DomainError, match="base_seed"):
+        SimScenario(base_seed=-1)
 
 
 def test_unpooled_precise_surveys_keep_their_observed_se():
