@@ -28,7 +28,10 @@ class PoolAllPosterior:
     mean: float
     sd: float
     interval: tuple[float, float]
-    grid: DeltaGrid
+
+    def to_dict(self) -> dict:
+        return {"mean": self.mean, "sd": self.sd,
+                "ci_lower": self.interval[0], "ci_upper": self.interval[1]}
 
 
 def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
@@ -64,7 +67,7 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
     lo, hi = interval95(draws)
     return PoolAllPosterior(mean=shift + mean, sd=sd,
-                            interval=(shift + float(lo), shift + float(hi)), grid=grid)
+                            interval=(shift + float(lo), shift + float(hi)))
 
 
 # ---------------------------------------------------------------------------

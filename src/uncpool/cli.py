@@ -10,7 +10,7 @@ import numpy as np
 
 from .baselines import DpmConfig, dpm_gibbs, pool_all
 from .errors import UncpoolError
-from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize
+from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize, survey_rows
 from .io import (RunConfig, ReportDocument, input_echo, parse_input,
                  parse_scenario, render_report, sim_report_csv, sim_report_json)
 from .partitions import enumerate_partitions
@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="key = value scenario file")
     p.add_argument("--output", default="sim_report",
                    help="output base path; writes <base>.json and <base>.csv")
-    p.add_argument("--n-jobs", type=int, default=1, dest="n_jobs")
+    p.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
+                   help="worker processes, at most one per replicate and usable CPU")
 
     p = sub.add_parser("partitions", allow_abbrev=False, help="list set partitions")
     p.add_argument("--l", type=int, required=True, help="number of sources")
@@ -115,8 +116,7 @@ def _cmd_pool_all(args) -> int:
         kind="pool-all",
         input=input_echo(data),
         config=_echo(cfg, _GRID_ECHO),
-        results={"pool_all": {"mean": pa.mean, "sd": pa.sd,
-                              "ci_lower": pa.interval[0], "ci_upper": pa.interval[1]}},
+        results={"pool_all": pa.to_dict()},
     )
     _write(render_report(doc, cfg.format), args.output)
     return 0
@@ -127,13 +127,8 @@ def _cmd_dpm(args) -> int:
     dpm_cfg = DpmConfig(m=args.m, iterations=args.iterations, burn_in=args.burn_in,
                         thin=args.thin, seed=args.seed)
     draws = dpm_gibbs(data, dpm_cfg)
-    rows = [
-        {"label": data.labels[i], "observed": float(data.y_hat[i]),
-         "post_mean": draws.post_mean[i], "observed_se": float(np.sqrt(data.v[i])),
-         "post_sd": draws.post_sd[i], "ci_lower": draws.ci_lower[i],
-         "ci_upper": draws.ci_upper[i]}
-        for i in range(data.l)
-    ]
+    rows = survey_rows(data.labels, data.y_hat.tolist(), draws.post_mean,
+                       np.sqrt(data.v).tolist(), draws.post_sd, draws.ci_lower, draws.ci_upper)
     doc = ReportDocument(
         kind="dpm",
         input=input_echo(data),

@@ -369,6 +369,15 @@ class PartitionMass:
     label: int | None = None   # conventional 1..5 label, only when L = 3
 
 
+#: Keys of a report's per-source row, in the order its tables print them.
+_ROW_KEYS = ("label", "observed", "post_mean", "observed_se", "post_sd", "ci_lower", "ci_upper")
+
+
+def survey_rows(*columns) -> list[dict]:
+    """One report row per source from per-source columns given in ``_ROW_KEYS`` order."""
+    return [dict(zip(_ROW_KEYS, row, strict=True)) for row in zip(*columns, strict=True)]
+
+
 @dataclass(frozen=True)
 class SummaryTable:
     """Per-survey posterior summary plus partition probabilities."""
@@ -385,30 +394,15 @@ class SummaryTable:
 
     def to_dict(self) -> dict:
         d = {
-            "rows": [
-                {
-                    "label": self.labels[i],
-                    "observed": self.observed[i],
-                    "post_mean": self.post_mean[i],
-                    "observed_se": self.observed_se[i],
-                    "post_sd": self.post_sd[i],
-                    "ci_lower": self.ci_lower[i],
-                    "ci_upper": self.ci_upper[i],
-                }
-                for i in range(len(self.labels))
-            ],
+            "rows": survey_rows(self.labels, self.observed, self.post_mean, self.observed_se,
+                                self.post_sd, self.ci_lower, self.ci_upper),
             "partition_probs": [
                 {"partition": pm.notation, "prob": pm.prob, "label": pm.label}
                 for pm in self.partition_probs
             ],
         }
         if self.pool_all is not None:
-            d["pool_all"] = {
-                "mean": self.pool_all.mean,
-                "sd": self.pool_all.sd,
-                "ci_lower": self.pool_all.interval[0],
-                "ci_upper": self.pool_all.interval[1],
-            }
+            d["pool_all"] = self.pool_all.to_dict()
         return d
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
+from .grid import _ROW_KEYS
 from .model import SurveyData
 
 if TYPE_CHECKING:  # imported where a scenario is built, so other commands skip it
@@ -212,11 +213,9 @@ def _markdown_survey_table(rows) -> list[str]:
     out = ["| Survey | ObsProp | PostMean | ObsSE | PostSD | 95% Cred Int |",
            "|---|---|---|---|---|---|"]
     for row in rows:
-        out.append(
-            f"| {row['label']} | {_fmt(row['observed'])} | {_fmt(row['post_mean'])} "
-            f"| {_fmt(row['observed_se'])} | {_fmt(row['post_sd'])} "
-            f"| ({_fmt(row['ci_lower'])}, {_fmt(row['ci_upper'])}) |"
-        )
+        label, *values = (row[k] for k in _ROW_KEYS)
+        obs, mean, se, sd, lo, hi = map(_fmt, values)
+        out.append(f"| {label} | {obs} | {mean} | {se} | {sd} | ({lo}, {hi}) |")
     return out
 
 
@@ -258,28 +257,22 @@ def render_csv(doc: ReportDocument) -> str:
     """Machine-readable tables; sections separated by a blank line."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    summary = doc.results.get("summary") or doc.results.get("dpm")
+    summary = doc.results.get("summary") or doc.results.get("dpm") or {}
     if summary:
-        w.writerow(["survey", "observed", "post_mean", "observed_se",
-                    "post_sd", "ci_lower", "ci_upper"])
+        w.writerow(["survey", *_ROW_KEYS[1:]])
         for row in summary["rows"]:
-            w.writerow([row["label"], repr(row["observed"]), repr(row["post_mean"]),
-                        repr(row["observed_se"]), repr(row["post_sd"]),
-                        repr(row["ci_lower"]), repr(row["ci_upper"])])
-        pa = summary.get("pool_all")
-        if pa:
-            w.writerow(["pool-all", "", repr(pa["mean"]), "", repr(pa["sd"]),
-                        repr(pa["ci_lower"]), repr(pa["ci_upper"])])
-        probs = summary.get("partition_probs")
-        if probs:
-            w.writerow([])
-            w.writerow(["partition", "label", "prob"])
-            for pm in probs:
-                w.writerow([pm["partition"], pm.get("label") or "", repr(pm["prob"])])
-    pa = doc.results.get("pool_all")
+            label, *values = (row[k] for k in _ROW_KEYS)
+            w.writerow([label, *map(repr, values)])
+    pa = summary.get("pool_all") or doc.results.get("pool_all")
     if pa:
         w.writerow(["pool-all", "", repr(pa["mean"]), "", repr(pa["sd"]),
                     repr(pa["ci_lower"]), repr(pa["ci_upper"])])
+    probs = summary.get("partition_probs")
+    if probs:
+        w.writerow([])
+        w.writerow(["partition", "label", "prob"])
+        for pm in probs:
+            w.writerow([pm["partition"], pm.get("label") or "", repr(pm["prob"])])
     return buf.getvalue()
 
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,25 @@ def make_orange(sahie_se: float) -> SurveyData:
 @pytest.fixture
 def dixie_panel1() -> SurveyData:
     return make_dixie(0.5)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stand in for the process pool: record each pool's worker count and map in-process."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return started

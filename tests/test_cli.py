@@ -141,6 +141,50 @@ def test_simulate_rejects_negative_base_seed(tmp_path, capsys):
     assert "base_seed" in capsys.readouterr().err
 
 
+SMALL_SCENARIO = "delta_shift = 0.0772\nreps = 20\nr = 150\nb = 400\nbase_seed = 11\n"
+
+
+def test_simulate_pooled_output_equals_serial_byte_for_byte(tmp_path, monkeypatch):
+    # two real worker processes
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scen = tmp_path / "scen.txt"
+    scen.write_text(SMALL_SCENARIO, encoding="utf-8")
+    for jobs in ("1", "2"):
+        assert run_command(["simulate", "--scenario", str(scen), "--n-jobs", jobs,
+                            "--output", str(tmp_path / f"sim{jobs}")]) == 0
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"sim2.{ext}").read_bytes() == (tmp_path / f"sim1.{ext}").read_bytes()
+
+
+def test_simulate_caps_n_jobs(tmp_path, fake_pool, monkeypatch):
+    # --n-jobs 5000 used to fork 5000 interpreters; the fake pool starts none
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 3\nr = 60\nb = 100\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen), "--n-jobs", "5000",
+                        "--output", str(tmp_path / "out")]) == 0
+    assert fake_pool == [3]
+
+
+@pytest.mark.parametrize("n_jobs", ["0", "-4"])
+def test_simulate_rejects_n_jobs_below_one(tmp_path, capsys, fake_pool, n_jobs):
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 2\nr = 60\nb = 100\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen), "--n-jobs", n_jobs,
+                        "--output", str(tmp_path / "out")]) == 1
+    assert "n_jobs" in capsys.readouterr().err
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("field", ["psi1", "psi2", "delta_shift", "v1", "v2"])
+def test_simulate_rejects_non_finite_scenario_field(tmp_path, capsys, field):
+    scen = tmp_path / "scen.txt"
+    scen.write_text(f"reps = 2\nr = 60\nb = 100\n{field} = nan\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen),
+                        "--output", str(tmp_path / "out")]) == 1
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+
+
 def test_usage_errors_are_nonzero(tmp_path):
     assert run_command(["frobnicate"]) != 0
     assert run_command(["pool"]) != 0                      # missing --input
@@ -180,17 +224,22 @@ def test_cli_import_stays_lazy():
 
 
 def test_commands_do_not_import_numpy_ma(dixie_file, tmp_path):
-    # np.quantile reaches np.unique, which imports numpy.ma; the intervals avoid it
+    # np.quantile reaches np.unique, and np.median's NaN check calls np.ma, so both
+    # import numpy.ma; the intervals and the simulation medians avoid them
     import subprocess
     import sys
 
-    runs = [["pool", "--r", "50", "--b", "200"], ["pool-all", "--r", "50", "--b", "200"],
-            ["dpm", "--iterations", "60", "--burn-in", "10"]]
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 3\nr = 50\nb = 200\n", encoding="utf-8")
+    inp = ["--input", str(dixie_file)]
+    runs = [["pool", *inp, "--r", "50", "--b", "200"], ["pool-all", *inp, "--r", "50", "--b", "200"],
+            ["dpm", *inp, "--iterations", "60", "--burn-in", "10"],
+            ["simulate", "--scenario", str(scen)]]
     code = ("import sys\n"
             "from uncpool.cli import run_command\n"
             f"for i, argv in enumerate({runs!r}):\n"
-            f"    out = {str(tmp_path)!r} + f'/report{{i}}.json'\n"
-            f"    assert run_command([*argv, '--input', {str(dixie_file)!r}, '--output', out]) == 0\n"
+            f"    out = {str(tmp_path)!r} + f'/report{{i}}'\n"
+            "    assert run_command([*argv, '--output', out]) == 0\n"
             "assert 'numpy.ma' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,14 @@
+import io
 import math
+import os
 
 import numpy as np
 import pytest
 
-from uncpool import (DELTA_STEP, DomainError, SimScenario, generate_replicate,
+from uncpool import (DELTA_STEP, DomainError, SimScenario, generate_replicate, parse_scenario,
                      run_scenario, sd_reduction)
-from uncpool.simulation import _run_replicate
+from uncpool.io import sim_report_csv, sim_report_json
+from uncpool.simulation import _run_replicate, median
 
 
 def small_scenario(**kw):
@@ -110,8 +113,75 @@ def test_scenario_validation():
         SimScenario(reps=0)
     with pytest.raises(DomainError):
         SimScenario(v1=0.0)
+    with pytest.raises(DomainError, match="v2"):
+        SimScenario(v2=-1e-4)
     with pytest.raises(DomainError, match="base_seed"):
         SimScenario(base_seed=-1)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["psi1", "psi2", "delta_shift", "v1", "v2"])
+def test_scenario_rejects_non_finite_fields(field, value):
+    # v1 = nan used to pass the "> 0" check and fail later inside a replicate
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        parse_scenario(io.StringIO(f"reps = 2\n{field} = {value}\n"))
+
+
+def test_median_equals_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(50)
+    for n in [*range(1, 65), 499, 500]:
+        for shape in ((n,), (n, 5)):
+            smooth = rng.normal(0.3, 0.1, size=shape)
+            ties = rng.integers(0, 4, size=shape) * 0.25         # a few distinct values
+            zeros = rng.choice([-0.0, 0.0, 1.0], size=shape)      # ties of signed zeros
+            for x in (smooth, ties, zeros):
+                before = x.copy()
+                got, want = np.asarray(median(x)), np.asarray(np.median(x, axis=0))
+                assert got.dtype == want.dtype and got.shape == want.shape, (n, shape)
+                assert got.tobytes() == want.tobytes(), (n, shape)
+                assert np.array_equal(x, before)                  # input left unsorted
+
+
+def test_median_nan_column_gives_nan():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 500):
+        x = rng.normal(size=(n, 5))
+        x[n // 3, 2] = np.nan
+        got = median(x)
+        assert got.tobytes() == np.median(x, axis=0).tobytes()
+        assert np.isnan(got[2]) and np.isfinite(np.delete(got, 2)).all()
+        assert np.isnan(median(x[:, 2]))
+
+
+@pytest.mark.parametrize("n_jobs, reps, cpus, workers", [
+    (5000, 6, 8, [6]),   # never more workers than replicates ...
+    (5000, 6, 2, [2]),   # ... or than usable CPUs
+    (3, 6, 8, [3]),
+    (5000, 1, 8, []),    # one worker runs in-process
+    (4, 6, 1, []),
+    (1, 6, 8, []),
+])
+def test_worker_count_is_capped(fake_pool, monkeypatch, n_jobs, reps, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    s = small_scenario(reps=reps, r=60, b=100)
+    assert run_scenario(s, n_jobs=n_jobs) == run_scenario(s)
+    assert fake_pool == workers
+
+
+@pytest.mark.parametrize("n_jobs", [0, -4])
+def test_n_jobs_below_one_is_a_domain_error(fake_pool, n_jobs):
+    with pytest.raises(DomainError, match="n_jobs"):
+        run_scenario(small_scenario(reps=2, r=60, b=100), n_jobs=n_jobs)
+    assert fake_pool == []
+
+
+def test_pooled_run_equals_serial_run_byte_for_byte(monkeypatch):
+    # two real worker processes; 20 replicates span two chunks of the pool's map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    s = small_scenario(reps=20, r=150, b=400)
+    serial, pooled = run_scenario(s, n_jobs=1), run_scenario(s, n_jobs=2)
+    assert sim_report_json(pooled) == sim_report_json(serial)
+    assert sim_report_csv(pooled) == sim_report_csv(serial)
 
 
 def test_unpooled_precise_surveys_keep_their_observed_se():
