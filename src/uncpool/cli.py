@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="sim_report",
                    help="output base path; writes <base>.json and <base>.csv")
     p.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
-                   help="worker processes, at most one per replicate and usable CPU")
+                   help="worker processes, at most one per usable CPU and per 64 replicates")
 
     p = sub.add_parser("partitions", allow_abbrev=False, help="list set partitions")
     p.add_argument("--l", type=int, required=True, help="number of sources")

@@ -15,9 +15,9 @@ gives, for every subset U, the sum Z(U, j) over the partitions of U of
 their block products, in O(3^L R) time.  From it come the delta2 marginal
 p(j), proportional to c_j Z(full, j); the evidence; and the block masses
 W[S, j] = p(j) phi(S, j) Z(full - S, j) / Z(full, j), the posterior
-probability that S is a block and the cell is j.  The moments, the draws,
-complete pooling and the partition listing read these; the lattice itself
-is built only when ``JointGridPosterior.log_mass`` is read.
+probability that S is a block and the cell is j.  The moments, the mixture
+CDF, the draws, complete pooling and the partition listing read these; the
+lattice itself is built only when ``JointGridPosterior.log_mass`` is read.
 """
 
 from __future__ import annotations
@@ -332,13 +332,27 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     )
 
 
+def _source_terms(data: SurveyData,
+                  t: kernels.SubsetTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, R) lam_i (y_i - shift), 1 - lam_i and delta2 (1 - lam_i) on the grid.
+
+    Given its block S and the cell, source i is normal with mean
+    lam_i y_i + (1 - lam_i) ybar_S, which is shift + own + oml ybar_S in the
+    table's centred terms, and variance delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S,
+    which is within + oml^2 / A_S.
+    """
+    d2 = t.deltas2[None, :]
+    v = data.v[:, None]
+    oml = v / (d2 + v)
+    own = d2 / (d2 + v) * (data.y_hat - t.shift)[:, None]
+    return own, oml, d2 * oml
+
+
 def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic posterior mean and SD of each mu_i from the block masses.
 
-    Given its block S and delta2, source i has mean
-    lam_i y_i + (1 - lam_i) ybar_S and variance
-    delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S.  Summing W[S, j] over the
-    blocks S holding i mixes these exactly, with no partition axis and no
+    Summing W[S, j] over the blocks S holding i mixes the conditional
+    moments of :func:`_source_terms` exactly, with no partition axis and no
     Monte Carlo error; variances follow the law of total variance.
     Moments are formed about the table's shift, so E[x^2] - E[x]^2 does
     not cancel for offset data.
@@ -351,13 +365,61 @@ def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.
     nu2 *= w
     m1 = np.einsum("is,sr->ir", member, w * t.ybar)            # (L, R)
     m2 = np.einsum("is,sr->ir", member, nu2)
-    d2 = t.deltas2[None, :]
-    v = data.v[:, None]
-    oml = v / (d2 + v)
-    own = d2 / (d2 + v) * (data.y_hat - t.shift)[:, None]
+    own, oml, within = _source_terms(data, t)
     e1 = (own * p + oml * m1).sum(axis=1)
-    e2 = (p * (d2 * oml + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum(axis=1)
+    e2 = (p * (within + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum(axis=1)
     return t.shift + e1, np.sqrt(e2 - e1 * e1)
+
+
+@lru_cache(maxsize=None)
+def _holders(l: int) -> np.ndarray:
+    """(L, 2^(L-1)) the subsets holding source i, ascending, in row i (read-only)."""
+    out = np.nonzero(kernels.membership(l))[1].reshape(l, -1)
+    out.flags.writeable = False
+    return out
+
+
+#: Most float64 values each array of one :func:`mixture_cdf` column block
+#: holds.  Arrays this small come from the heap's free lists; larger ones
+#: are mapped afresh on every call and page-faulted in.
+_CDF_CELLS = 1 << 13
+
+
+def mixture_cdf(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
+    """(L,) posterior probability that mu_i <= x_i, for every source i.
+
+    mu_i's posterior is a finite normal mixture: one component per block
+    S holding i and cell j, with weight W[S, j] and the moments of
+    :func:`_source_terms`.  So F_i(x_i) is exactly
+    1/2 sum W[S, j] erfc((m - x_i) / sqrt(2 s^2)), summed over
+    (L, 2^(L-1), cells) arrays, a block of cells at a time, with no draws.
+    Means are differenced from x about the table's shift, so offset data
+    lose no digits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (data.l,):
+        raise DomainError(f"need one point per source, shape ({data.l},), got {x.shape}")
+    t, w = jp.table, jp.block_mass
+    own, oml, within = _source_terms(data, t)
+    own -= (x - t.shift)[:, None]
+    within *= 2.0
+    oml2 = 2.0 * oml * oml
+    held = _holders(data.l)
+    total = np.zeros(data.l)
+    step = max(1, _CDF_CELLS // held.size)
+    for c in range(0, jp.grid.r, step):
+        cols = slice(c, c + step)
+        arg = t.ybar[:, cols].take(held, axis=0)          # (L, H, cells), then (m - x)
+        arg *= oml[:, None, cols]
+        arg += own[:, None, cols]
+        sd = t.a[:, cols].take(held, axis=0)              # then sqrt(2 s^2)
+        np.divide(oml2[:, None, cols], sd, out=sd)
+        sd += within[:, None, cols]
+        np.sqrt(sd, out=sd)
+        arg /= sd
+        total += np.einsum("lhr,lhr->l", w[:, cols].take(held, axis=0), kernels.erfc(arg))
+    total *= 0.5
+    return total
 
 
 @dataclass(frozen=True)

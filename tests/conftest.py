@@ -31,10 +31,18 @@ def dixie_panel1() -> SurveyData:
     return make_dixie(0.5)
 
 
+class _Started(list):
+    """Each fake pool's worker count; ``chunks`` holds the chunk sizes of each map."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Stand in for the process pool: record each pool's worker count and map in-process."""
-    started = []
+    started = _Started()
 
     class FakePool:
         def __init__(self, max_workers=None, **kwargs):
@@ -47,7 +55,10 @@ def fake_pool(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            items = list(iterable)
+            started.chunks.append([len(items[i:i + chunksize])
+                                   for i in range(0, len(items), chunksize)])
+            return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return started

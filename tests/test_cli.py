@@ -146,6 +146,7 @@ SMALL_SCENARIO = "delta_shift = 0.0772\nreps = 20\nr = 150\nb = 400\nbase_seed =
 
 def test_simulate_pooled_output_equals_serial_byte_for_byte(tmp_path, monkeypatch):
     # two real worker processes
+    monkeypatch.setattr("uncpool.simulation.MIN_REPS_PER_WORKER", 1)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scen = tmp_path / "scen.txt"
     scen.write_text(SMALL_SCENARIO, encoding="utf-8")
@@ -158,12 +159,34 @@ def test_simulate_pooled_output_equals_serial_byte_for_byte(tmp_path, monkeypatc
 
 def test_simulate_caps_n_jobs(tmp_path, fake_pool, monkeypatch):
     # --n-jobs 5000 used to fork 5000 interpreters; the fake pool starts none
+    monkeypatch.setattr("uncpool.simulation.MIN_REPS_PER_WORKER", 1)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
     scen = tmp_path / "scen.txt"
     scen.write_text("reps = 3\nr = 60\nb = 100\n", encoding="utf-8")
     assert run_command(["simulate", "--scenario", str(scen), "--n-jobs", "5000",
                         "--output", str(tmp_path / "out")]) == 0
     assert fake_pool == [3]
+
+
+def test_simulate_small_study_runs_in_process(tmp_path, fake_pool, monkeypatch):
+    # 3 replicates cannot pay for a pool's start-up, whatever --n-jobs asks
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 3\nr = 60\nb = 100\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen), "--n-jobs", "5000",
+                        "--output", str(tmp_path / "out")]) == 0
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("line, field", [("r = 1", "grid size r"), ("b = 0", "draw count b")])
+def test_simulate_rejects_small_grid_or_draw_count(tmp_path, capsys, fake_pool, line, field):
+    scen = tmp_path / "scen.txt"
+    scen.write_text(f"reps = 2\n{line}\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen),
+                        "--output", str(tmp_path / "out")]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert fake_pool == []
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("n_jobs", ["0", "-4"])

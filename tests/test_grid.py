@@ -8,7 +8,7 @@ from uncpool import (ComputationError, DomainError, JointGridPosterior, Partitio
                      SurveyData, build_grid, conditional_moments, enumerate_partitions,
                      evaluate_joint, exact_mixture_moments, log_joint_kernel,
                      marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu, summarize)
-from uncpool.grid import _draw_mu_for_partition, interval95
+from uncpool.grid import _draw_mu_for_partition, interval95, mixture_cdf
 from uncpool.kernels import SubsetTable, partition_sums, q_matrix, subset_table
 
 from conftest import make_dixie
@@ -204,6 +204,62 @@ def test_translation_invariance(dixie_panel1, shift):
     pa_b = pool_all(moved, grid, b=10, jp=jp_b)
     assert abs(pa_b.mean - shift - pa_a.mean) < 1e-8
     assert abs(pa_b.sd - pa_a.sd) < 1e-8
+
+
+def _mixture_cdf_oracle(data, jp, x):
+    """F_i(x_i) summed over every (partition, cell) with the scalar conditional moments."""
+    w = np.exp(jp.log_mass)
+    out = np.zeros(data.l)
+    for g, p in enumerate(jp.space.partitions):
+        for j, d2 in enumerate(jp.grid.deltas2):
+            cm = conditional_moments(data, p, float(d2))
+            for i in range(data.l):
+                z = (cm.mean[i] - x[i]) / math.sqrt(2.0 * cm.cov[i, i])
+                out[i] += 0.5 * w[g, j] * math.erfc(z)
+    return out
+
+
+@pytest.mark.parametrize("l, r", [(3, 60), (5, 30)])
+def test_mixture_cdf_matches_scalar_oracle(l, r):
+    rng = np.random.default_rng(40 + l)
+    data = small_data(rng, l)
+    jp = evaluate_joint(data, enumerate_partitions(l), build_grid(r))
+    mean, sd = exact_mixture_moments(data, jp)
+    for k in (-2.5, -0.7, 0.0, 1.1, 3.0):
+        x = mean + k * sd
+        got = mixture_cdf(data, jp, x)
+        assert np.max(np.abs(got - _mixture_cdf_oracle(data, jp, x))) < 1e-12, k
+        assert np.all((got > 0.0) & (got < 1.0))
+
+
+def test_mixture_cdf_is_unmoved_by_a_shift():
+    # estimates and points on a 2^-16 lattice, so adding 1e6 rounds nothing
+    rng = np.random.default_rng(8)
+    y = np.round(rng.normal(0.3, 0.08, size=3) * 2 ** 16) / 2 ** 16
+    data = SurveyData(("a", "b", "c"), y, rng.uniform(0.006, 0.04, size=3) ** 2)
+    moved = SurveyData(("a", "b", "c"), y + 1e6, data.v)
+    space, grid = enumerate_partitions(3), build_grid(2000)
+    jp, jp_moved = evaluate_joint(data, space, grid), evaluate_joint(moved, space, grid)
+    mean, sd = exact_mixture_moments(data, jp)
+    for k in (-1.5, 0.0, 1.0):
+        x = np.round((mean + k * sd) * 2 ** 16) / 2 ** 16
+        want = mixture_cdf(data, jp, x)
+        assert np.all((want > 0.01) & (want < 0.99))
+        assert np.max(np.abs(mixture_cdf(moved, jp_moved, x + 1e6) - want)) < 1e-12
+
+
+def test_mixture_cdf_is_non_decreasing(dixie_panel1):
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(2000))
+    cdf = np.array([mixture_cdf(dixie_panel1, jp, np.full(3, x))
+                    for x in np.linspace(0.0, 0.6, 601)])
+    assert np.all(np.diff(cdf, axis=0) >= 0.0)
+    assert np.all(cdf[0] < 1e-6) and np.all(cdf[-1] > 1.0 - 1e-6)
+
+
+def test_mixture_cdf_needs_one_point_per_source(dixie_panel1):
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(20))
+    with pytest.raises(DomainError, match="one point per source"):
+        mixture_cdf(dixie_panel1, jp, np.zeros(2))
 
 
 def test_refinement_stability(dixie_panel1):

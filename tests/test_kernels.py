@@ -63,6 +63,23 @@ def test_subset_terms_singletons_are_zero():
     assert not table.q[0].any() and not table.a[0].any()
 
 
+def test_erfc_matches_math_erfc():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(-6.0, 27.0, 330_001), rng.uniform(-6.0, 27.0, 100_000),
+                        [0.0, -0.0, 0.46875, -0.46875, 4.0, -4.0, 26.543, 5e-324]])
+    got = kernels.erfc(x)
+    want = np.array([math.erfc(v) for v in x])
+    normal = want >= 1e-300
+    assert np.all(np.abs(got[normal] - want[normal]) <= 2e-15 * want[normal])
+    assert np.all(got[~normal] <= 1e-300)
+
+
+def test_erfc_limits_and_shape():
+    got = kernels.erfc(np.array([[np.inf, -np.inf], [np.nan, 40.0]]))
+    assert got.shape == (2, 2)
+    assert got[0].tolist() == [0.0, 2.0] and np.isnan(got[1, 0]) and got[1, 1] == 0.0
+
+
 def _chain_inputs(seed=4, t=400, l=3):
     rng = np.random.default_rng(seed)
     y = np.array([0.254, 0.361, 0.359])

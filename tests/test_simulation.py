@@ -7,8 +7,9 @@ import pytest
 
 from uncpool import (DELTA_STEP, DomainError, SimScenario, generate_replicate, parse_scenario,
                      run_scenario, sd_reduction)
+from uncpool import grid, simulation
 from uncpool.io import sim_report_csv, sim_report_json
-from uncpool.simulation import _run_replicate, median
+from uncpool.simulation import MIN_REPS_PER_WORKER, _run_replicate, median
 
 
 def small_scenario(**kw):
@@ -119,6 +120,26 @@ def test_scenario_validation():
         SimScenario(base_seed=-1)
 
 
+@pytest.mark.parametrize("text, field", [("r = 1\n", "grid size r"), ("r = -3\n", "grid size r"),
+                                         ("b = 0\n", "draw count b")])
+def test_scenario_rejects_small_grid_or_draw_count(text, field):
+    # r = 1 used to fail inside the first replicate, possibly in a worker
+    with pytest.raises(DomainError, match=field):
+        parse_scenario(io.StringIO("reps = 2\n" + text))
+
+
+def test_replicate_makes_no_draws(monkeypatch):
+    # coverage reads the exact mixture CDF; posterior draws must not creep back in
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replicate drew from the posterior")
+    for module in (grid, simulation):
+        for name in ("sample_mu", "interval95"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    report = run_scenario(small_scenario(reps=3))
+    assert all(0.0 <= c <= 1.0 for c in report.coverage)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["psi1", "psi2", "delta_shift", "v1", "v2"])
 def test_scenario_rejects_non_finite_fields(field, value):
@@ -162,10 +183,33 @@ def test_median_nan_column_gives_nan():
     (1, 6, 8, []),
 ])
 def test_worker_count_is_capped(fake_pool, monkeypatch, n_jobs, reps, cpus, workers):
+    # one replicate per worker suffices here, so only the other caps bind
+    monkeypatch.setattr(simulation, "MIN_REPS_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     s = small_scenario(reps=reps, r=60, b=100)
     assert run_scenario(s, n_jobs=n_jobs) == run_scenario(s)
     assert fake_pool == workers
+
+
+@pytest.mark.parametrize("n_jobs, extra, cpus, workers", [
+    (2, -1, 2, []),      # a second worker would get too few replicates ...
+    (2, 0, 2, [2]),      # ... until each gets MIN_REPS_PER_WORKER
+    (5000, 1, 8, [2]),   # and a third waits for 3 * MIN_REPS_PER_WORKER
+    (5000, MIN_REPS_PER_WORKER, 8, [3]),
+])
+def test_small_studies_start_fewer_workers(fake_pool, monkeypatch, n_jobs, extra, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    s = small_scenario(reps=2 * MIN_REPS_PER_WORKER + extra, r=20, b=1)
+    assert run_scenario(s, n_jobs=n_jobs) == run_scenario(s)
+    assert fake_pool == workers
+
+
+@pytest.mark.parametrize("reps, chunks", [(7, [4, 3]), (8, [4, 4]), (20, [10, 10])])
+def test_each_worker_gets_one_even_share(fake_pool, monkeypatch, reps, chunks):
+    monkeypatch.setattr(simulation, "MIN_REPS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    run_scenario(small_scenario(reps=reps, r=20), n_jobs=2)
+    assert fake_pool == [2] and fake_pool.chunks == [chunks]
 
 
 @pytest.mark.parametrize("n_jobs", [0, -4])
@@ -177,6 +221,7 @@ def test_n_jobs_below_one_is_a_domain_error(fake_pool, n_jobs):
 
 def test_pooled_run_equals_serial_run_byte_for_byte(monkeypatch):
     # two real worker processes; 20 replicates span two chunks of the pool's map
+    monkeypatch.setattr(simulation, "MIN_REPS_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     s = small_scenario(reps=20, r=150, b=400)
     serial, pooled = run_scenario(s, n_jobs=1), run_scenario(s, n_jobs=2)
