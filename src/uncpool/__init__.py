@@ -21,16 +21,20 @@ from .partitions import (Partition, PartitionSpace, bell_number, display_label_l
                          enumerate_partitions)
 __version__ = "0.1.0"
 
-# The simulation harness loads on first use, so CLI commands that do not
-# simulate skip importing it.
+# The simulation harness and the DPM quadrature load on first use, so CLI
+# commands that need neither skip importing them.
 _SIMULATION_NAMES = frozenset({"DELTA_STEP", "SimReport", "SimScenario",
                                "generate_replicate", "run_scenario", "sd_reduction"})
+_QUADRATURE_NAMES = frozenset({"DpmQuadrature", "dpm_quadrature"})
 
 
 def __getattr__(name: str):
     if name in _SIMULATION_NAMES:
         from . import simulation
         return getattr(simulation, name)
+    if name in _QUADRATURE_NAMES:
+        from . import quadrature
+        return getattr(quadrature, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Array backend of the numeric kernels; numpy is the only one.
@@ -39,13 +43,13 @@ BACKEND = "numpy"
 __all__ = [
     "BACKEND", "ClusterStats", "ComputationError", "ConditionalMoments",
     "DELTA_STEP", "DeltaGrid", "DomainError", "DpmConfig", "DpmDraws",
-    "DpmExactResult", "InputRecord", "JointGridPosterior", "Partition",
+    "DpmExactResult", "DpmQuadrature", "InputRecord", "JointGridPosterior", "Partition",
     "PartitionMass", "PartitionSpace", "ParseError", "PoolAllPosterior",
     "PosteriorDraws",
     "ReportDocument", "RunConfig", "SimReport", "SimScenario", "SummaryTable",
     "SurveyData", "UncpoolError", "bell_number", "build_grid", "cluster_stats",
     "conditional_moments", "display_label_l3", "dpm_exact", "dpm_gibbs",
-    "dpm_partition_prior", "enumerate_partitions", "evaluate_joint",
+    "dpm_partition_prior", "dpm_quadrature", "enumerate_partitions", "evaluate_joint",
     "exact_mixture_moments", "generate_replicate", "input_echo",
     "log_inv_beta_prior", "log_joint_kernel", "log_partition_likelihood",
     "logit_transform", "marginal_delta2", "marginal_g", "parse_input",

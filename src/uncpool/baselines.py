@@ -2,8 +2,13 @@
 
 The pool-all posterior summarizes the common mean nu of the single-cluster
 model.  The DPM baseline clusters sources through a Dirichlet process prior
-on their means, sampled by a collapsed Gibbs chain; an exact enumeration
-oracle over partitions validates the chain at small L.
+on their means.  At fixed base parameters (eta, tau2) it is a product
+partition model, whose block scores :func:`_dpm_blocks` gives.  The
+``dpm`` command reports the posterior by quadrature over (eta, log tau2)
+(``quadrature.dpm_quadrature``) up to DPM_QUADRATURE_MAX_L sources, and
+from the collapsed Gibbs chain :func:`dpm_gibbs`, which is faster there,
+beyond.  The exact enumeration oracle :func:`dpm_exact` checks both at
+fixed base parameters.
 """
 
 from __future__ import annotations
@@ -161,14 +166,8 @@ def _resolve_dpm_defaults(data: SurveyData, cfg: DpmConfig) -> dict:
     return {"m": cfg.m, "eta_b": eta_b, "s_b": s_b, "phi1": cfg.phi1, "phi2": phi2}
 
 
-def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
-    """Collapsed Gibbs sampler for the DPM with known observation variances.
-
-    Cluster assignments are updated from their posterior predictive weights
-    with cluster values integrated out; cluster values, the base mean, and
-    the base precision are then redrawn from their conjugate conditionals.
-    The concentration m stays fixed.  Reproducible given the seed.
-    """
+def _checked_dpm_inputs(data: SurveyData, cfg: DpmConfig) -> dict:
+    """Validate ``cfg``, chain settings included, and return the resolved hyperpriors."""
     if cfg.burn_in < 0:
         raise DomainError(f"burn_in must be >= 0, got {cfg.burn_in}")
     if cfg.iterations <= cfg.burn_in:
@@ -183,11 +182,24 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     for name, val in res.items():
         if not np.isfinite(val) or (name != "eta_b" and val <= 0):
             raise DomainError(f"hyperprior input {name}={val} is not usable")
+    if cfg.fixed_eta is not None and not np.isfinite(cfg.fixed_eta):
+        raise DomainError(f"fixed_eta must be finite, got {cfg.fixed_eta}")
+    if cfg.fixed_tau2 is not None and not (np.isfinite(cfg.fixed_tau2) and cfg.fixed_tau2 > 0):
+        raise DomainError(f"fixed_tau2 must be finite and > 0, got {cfg.fixed_tau2}")
+    return res
 
+
+def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
+    """Collapsed Gibbs sampler for the DPM with known observation variances.
+
+    Cluster assignments are updated from their posterior predictive weights
+    with cluster values integrated out; cluster values, the base mean, and
+    the base precision are then redrawn from their conjugate conditionals.
+    The concentration m stays fixed.  Reproducible given the seed.
+    """
+    res = _checked_dpm_inputs(data, cfg)
     eta0 = cfg.fixed_eta if cfg.fixed_eta is not None else res["eta_b"]
     tau20 = cfg.fixed_tau2 if cfg.fixed_tau2 is not None else res["phi2"] / res["phi1"]
-    if tau20 <= 0 or not np.isfinite(eta0):
-        raise DomainError("initial base parameters must be finite and positive")
 
     T, L = cfg.iterations, data.l
     rng = np.random.default_rng(cfg.seed)
@@ -219,8 +231,49 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     )
 
 
-#: Largest L the exact DPM oracle enumerates.
+#: Largest L the exact DPM oracle enumerates; ``quadrature.dpm_quadrature``
+#: has no such bound of its own.
 DPM_EXACT_MAX_L = 8
+#: Largest L whose ``dpm`` report comes from ``quadrature.dpm_quadrature``:
+#: the largest L at which it was measured faster than the default
+#: 12000-sweep :func:`dpm_gibbs`, which the CLI runs above it.
+DPM_QUADRATURE_MAX_L = 6
+
+
+def _dpm_blocks(t: kernels.SubsetTable, eta_c: np.ndarray, tau2: np.ndarray,
+                m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(2^L, C) log block score, cluster-value mean and variance at C (eta, tau2) pairs.
+
+    ``t`` is the subset table at delta2 = 0, whose A_S, ybar_S and q_S are
+    a cluster's precision sums, and ``eta_c`` is eta less its shift.  A
+    cluster's values N(eta, diag(V) + tau2 J) have, up to factors shared
+    by every partition, the log marginal -log(1 + tau2 A)/2 - [q + A (ybar
+    - eta)^2 / (1 + tau2 A)]/2, and its DP prior factor is m Gamma(|S|).
+    Given its members, the cluster value is normal with mean (eta + tau2
+    A ybar) / (1 + tau2 A) and variance tau2 / (1 + tau2 A), about the
+    shift.  Row 0, the empty set, holds finite values that no caller uses
+    as a block.
+    """
+    l = t.a.shape[0].bit_length() - 1
+    sizes = kernels.membership(l).sum(axis=0)
+    sizes[0] = 1.0
+    a, ybar, q = t.a[:, :1], t.ybar[:, :1], t.q[:, :1]
+    ta = tau2 * a
+    ta += 1.0
+    mean = tau2 * (ybar * a)
+    mean += eta_c
+    mean /= ta
+    dev = ybar - eta_c
+    dev *= dev
+    dev *= a
+    dev /= ta
+    dev += q
+    score = np.log(ta)
+    score += dev
+    score *= -0.5
+    score += (math.log(m) + np.array([math.lgamma(k) for k in sizes]))[:, None]
+    var = np.divide(tau2, ta, out=ta)
+    return score, mean, var
 
 
 @dataclass(frozen=True)
@@ -239,14 +292,9 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactRe
     Enumerates all partitions (L <= DPM_EXACT_MAX_L), weighting each by its
     DP prior times the product of its clusters' closed-form marginal
     likelihoods; survey moments mix the conjugate within-cluster posteriors
-    over partitions.
-    Serves as the correctness oracle for :func:`dpm_gibbs`.
-
-    Every cluster term is read from the subset table at delta2 = 0, whose
-    A_S, ybar_S and q_S are the cluster's precision sums.  A cluster's
-    values N(eta, diag(V) + tau2 J) have, up to factors shared by every
-    partition, the log marginal -log(1 + tau2 A)/2 - [q + A (ybar - eta)^2
-    / (1 + tau2 A)]/2, and its DP prior factor is m * Gamma(|S|).
+    over partitions.  Serves as the correctness oracle for
+    :func:`dpm_gibbs` and ``quadrature.dpm_quadrature``, with which it
+    shares only the block scores and moments of :func:`_dpm_blocks`.
     """
     if data.l > DPM_EXACT_MAX_L:
         raise DomainError(f"exact enumeration supports L <= {DPM_EXACT_MAX_L}, got L={data.l}")
@@ -256,17 +304,15 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactRe
         raise DomainError(f"concentration must be > 0, got {m}")
     space = enumerate_partitions(data.l)
     t = kernels.subset_table(data.y_hat, data.v, np.zeros(1))
-    a, ybar, q = t.a[:, 0], t.ybar[:, 0], t.q[:, 0]
-    eta_c, ta = eta - t.shift, 1.0 + tau2 * a
-    lgam = np.array([math.lgamma(bin(s).count("1") or 1) for s in range(a.shape[0])])
-    score = math.log(m) + lgam - 0.5 * np.log(ta) - 0.5 * (q + a * (ybar - eta_c) ** 2 / ta)
+    score, mean, var = (x[:, 0] for x in _dpm_blocks(t, np.array([eta - t.shift]),
+                                                       np.array([tau2]), m))
     score[0] = 0.0   # the empty set pads partitions with fewer than L clusters
     logw = score[space.cluster_masks].sum(axis=1)
     w = np.exp(logw - logw.max())
     w /= w.sum()
     # each source's conjugate cluster posterior, (G, L), about the table's shift
-    means = ((eta_c + tau2 * a * ybar) / ta)[space.member_masks]
-    variances = (tau2 / ta)[space.member_masks]
+    means = mean[space.member_masks]
+    variances = var[space.member_masks]
     e1 = w @ means
     sd = np.sqrt(w @ (variances + (means - e1) ** 2))
     return DpmExactResult(space=space, probs=w, post_mean=t.shift + e1, post_sd=sd)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import DpmConfig, dpm_gibbs, pool_all
+from .baselines import DPM_QUADRATURE_MAX_L, DpmConfig, dpm_gibbs, pool_all
 from .errors import UncpoolError
 from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize, survey_rows
 from .io import (RunConfig, ReportDocument, input_echo, parse_input,
@@ -53,9 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dpm", allow_abbrev=False, help="Dirichlet-process-mixture baseline")
     add_common(p)
     p.add_argument("--m", type=float, default=3.0, help="DP concentration")
-    p.add_argument("--iterations", type=int, default=12000)
-    p.add_argument("--burn-in", type=int, default=2000, dest="burn_in")
-    p.add_argument("--thin", type=int, default=1)
+    chain_only = f"; only inputs with L > {DPM_QUADRATURE_MAX_L} run the chain and read it"
+    p.add_argument("--iterations", type=int, default=12000,
+                   help="Gibbs sweeps" + chain_only)
+    p.add_argument("--burn-in", type=int, default=2000, dest="burn_in",
+                   help="sweeps discarded before keeping draws" + chain_only)
+    p.add_argument("--thin", type=int, default=1, help="keep every thin-th sweep" + chain_only)
 
     p = sub.add_parser("simulate", allow_abbrev=False, help="run a replicated sampling study")
     p.add_argument("--scenario", required=True, help="key = value scenario file")
@@ -126,16 +129,20 @@ def _cmd_dpm(args) -> int:
     data = parse_input(args.input)
     dpm_cfg = DpmConfig(m=args.m, iterations=args.iterations, burn_in=args.burn_in,
                         thin=args.thin, seed=args.seed)
-    draws = dpm_gibbs(data, dpm_cfg)
-    rows = survey_rows(data.labels, data.y_hat.tolist(), draws.post_mean,
-                       np.sqrt(data.v).tolist(), draws.post_sd, draws.ci_lower, draws.ci_upper)
+    if data.l <= DPM_QUADRATURE_MAX_L:
+        from .quadrature import dpm_quadrature   # only this command compiles it
+        method, post = "quadrature", dpm_quadrature(data, dpm_cfg)
+    else:
+        method, post = "gibbs", dpm_gibbs(data, dpm_cfg)
+    rows = survey_rows(data.labels, data.y_hat.tolist(), post.post_mean,
+                       np.sqrt(data.v).tolist(), post.post_sd, post.ci_lower, post.ci_upper)
     doc = ReportDocument(
         kind="dpm",
         input=input_echo(data),
         config={"seed": dpm_cfg.seed, "format": args.format,
                 **_echo(dpm_cfg, ("m", "iterations", "burn_in", "thin")),
-                "hyperparameters": draws.resolved},
-        results={"dpm": {"rows": rows}},
+                "hyperparameters": post.resolved},
+        results={"dpm": {"method": method, "rows": rows}},
     )
     _write(render_report(doc, args.format), args.output)
     return 0

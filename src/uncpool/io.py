@@ -249,6 +249,8 @@ def render_markdown(doc: ReportDocument) -> str:
     if dpm:
         out.append("")
         out += _markdown_survey_table(dpm["rows"])
+        if dpm.get("method"):
+            out += ["", f"method: {dpm['method']}"]
     out.append("")
     return "\n".join(out)
 

@@ -1,4 +1,4 @@
-"""The per-subset engine every grid consumer reads, and the DPM Gibbs chain.
+"""The per-subset engine, erfc, normal-mixture quantiles and the DPM Gibbs chain.
 
 Everything a partition contributes at a grid point depends only on sums over
 its clusters.  With w_i = 1/(delta2 + V_i), cluster S has precision
@@ -25,7 +25,10 @@ times a product over the partition's clusters of phi(S) = exp(-q_S/2 - 1/2)
 Statist. 19).  So every sum over partitions is a recursion over subsets,
 :func:`partition_sums`, which visits each split of a subset into a block and
 a rest once: (3^L - 1)/2 splits per grid point instead of Bell(L)
-partitions.  :func:`subset_splits` lists those splits once per L.
+partitions.  :func:`subset_splits` lists those splits once per L.  The DPM
+at fixed base parameters is a product partition model too, whose block
+scores span more than a double's range; :func:`log_partition_sums` runs the
+same recursion in log space for it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import ComputationError
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,40 @@ def partition_sums(phi: np.ndarray) -> np.ndarray:
     return z
 
 
+def log_partition_sums(log_phi: np.ndarray) -> np.ndarray:
+    """(2^L, C) log Z(U, c) of :func:`partition_sums`, computed in log space.
+
+    The same layers, but each U's 2^(|U|-1) terms log phi(T) + log Z(U - T)
+    are combined by log-sum-exp about their largest, so no block factor
+    or partition sum is ever exponentiated whole and none can overflow or
+    underflow, however far apart the scores of two partitions are.  Row 0
+    of ``log_phi`` (the empty set, never a block) is not read.
+    """
+    n_sub, c = log_phi.shape
+    splits = subset_splits(n_sub.bit_length() - 1)
+    lz = np.empty_like(log_phi)
+    lz[0] = 0.0
+    widest = max(rows.stop - rows.start for _, rows in splits.layers)
+    step = max(1, _SPLIT_CELLS // widest)
+    for c0 in range(0, c, step):
+        lp, lzc = log_phi[:, c0:c0 + step], lz[:, c0:c0 + step]
+        for us, rows in splits.layers:
+            if us.shape[0] == rows.stop - rows.start:    # singletons: Z({i}) = phi({i})
+                lzc[us] = lp[us]
+                continue
+            terms = lp.take(splits.block[rows], axis=0)
+            terms += lzc.take(splits.rest[rows], axis=0)
+            terms = terms.reshape(us.shape[0], -1, terms.shape[1])
+            top = terms.max(axis=1)
+            terms -= top[:, None]
+            np.exp(terms, out=terms)
+            total = terms.sum(axis=1)
+            np.log(total, out=total)
+            total += top
+            lzc[us] = total
+    return lz
+
+
 # ---------------------------------------------------------------------------
 # Complementary error function (Cody 1969, "Rational Chebyshev approximations
 # for the error function", Math. Comp. 23); numpy has no erf.  The constants
@@ -278,6 +317,122 @@ def erfc(x) -> np.ndarray:
     small |= flat >= 0                  # the entries that need no reflection
     np.subtract(2.0, out, out=out, where=~small)
     return out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# Quantiles of finite normal mixtures
+# ---------------------------------------------------------------------------
+
+def negligible(w: np.ndarray, budget: float) -> np.ndarray:
+    """Mask of the smallest entries of ``w`` >= 0 whose total is at most ``budget``.
+
+    Entries are bucketed by binary exponent and whole buckets dropped,
+    smallest first, while their running total stays within the budget;
+    one pass, no sort, and never more than the budget dropped.
+    """
+    _, exps = np.frexp(w)
+    exps -= exps.min()
+    total = np.cumsum(np.bincount(exps.ravel(), weights=w.ravel()))
+    cut = np.searchsorted(total, budget, side="right")   # buckets 0..cut-1 fit the budget
+    return exps < cut
+
+
+#: Largest |F(x) - q| at which :func:`mixture_quantiles` accepts an endpoint.
+_QUANTILE_TOL = 1e-12
+#: Mass each mixture may lose in the successive solves of
+#: :func:`mixture_quantiles`; the last solve keeps every component.
+_STAGE_MASS = (1e-3, 1e-7, 0.0)
+#: Newton or bisection steps before a solve gives up.
+_QUANTILE_STEPS = 200
+#: max |d/dz of the standard normal density|, reached at z = +-1.
+_MAX_PDF_SLOPE = 1.0 / math.sqrt(2.0 * math.pi * math.e)
+#: Components per level evaluated at once by :func:`_newton`; the erfc
+#: temporaries of a block stay small enough to be reused from the heap.
+_QUANTILE_BLOCK = 1 << 12
+
+
+def _newton(w, m, s, owner, q, x, lo, hi, tol):
+    """Safeguarded Newton on F(x) = q for every (level, mixture) endpoint at once.
+
+    F(x) = 1/2 sum w erfc((m - x) / (s sqrt 2)) per mixture, and its
+    density, are summed over blocks of ``_QUANTILE_BLOCK`` components.  A
+    step that leaves the bracket [lo, hi], which shrinks around the root
+    as F is evaluated, is replaced by bisection.  A Newton step of length
+    d needs no further evaluation once |F''| d^2 / 2 <= tol / 2, with
+    |F''| at most sum w * _MAX_PDF_SLOPE / s^2.  Returns the (P, K)
+    endpoints once every one is within ``tol`` of its level or its
+    bracket has closed.
+    """
+    p, k = x.shape
+    inv = 1.0 / (s * math.sqrt(2.0))
+    wpdf = w * inv / math.sqrt(math.pi)
+    curve = np.bincount(owner, weights=w / (s * s), minlength=k) * _MAX_PDF_SLOPE
+    rows = k * np.arange(p)[:, None]                   # endpoint (level, mixture) at rows + owner
+    for _ in range(_QUANTILE_STEPS):
+        r = np.zeros(p * k)
+        pdf = np.zeros(p * k)
+        for c in range(0, w.size, _QUANTILE_BLOCK):
+            b = slice(c, c + _QUANTILE_BLOCK)
+            u = m[b] - x[:, owner[b]]
+            u *= inv[b]
+            at = (rows + owner[b]).ravel()
+            r += np.bincount(at, weights=(erfc(u) * w[b]).ravel(), minlength=p * k)
+            np.square(u, out=u)
+            np.negative(u, out=u)
+            np.exp(u, out=u)
+            u *= wpdf[b]
+            pdf += np.bincount(at, weights=u.ravel(), minlength=p * k)
+        r = r.reshape(p, k)
+        r *= 0.5
+        r -= q
+        pdf = pdf.reshape(p, k)
+        done = np.abs(r) <= tol
+        if done.all():
+            return x
+        lo = np.where(r < 0, x, lo)
+        hi = np.where(r > 0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r / pdf
+        newton = x - step
+        inside = (newton > lo) & (newton < hi)
+        bisect = 0.5 * (lo + hi)
+        x = np.where(done, x, np.where(inside, newton, bisect))
+        if np.all(done | (inside & (curve * step * step <= tol))):
+            return x
+        if np.all(done | (bisect == lo) | (bisect == hi)):
+            return x
+    raise ComputationError(f"mixture quantiles did not converge in {_QUANTILE_STEPS} steps")
+
+
+def mixture_quantiles(w, m, s, owner, q) -> np.ndarray:
+    """(K, P) q-quantiles of K normal mixtures, all K * P endpoints solved together.
+
+    Component k of mixture ``owner[k]`` has weight ``w[k]``, mean ``m[k]``
+    and SD ``s[k]``; every mixture 0..K-1 has a component, and each
+    mixture's weights sum to 1.  Each endpoint starts at
+    its mixture's mean mu plus its SD sigma times a logistic approximation
+    of the normal quantile.  Its bracket is the one Cantelli's inequality
+    gives every distribution with those moments, mu - sigma sqrt((1 - q) /
+    q) to mu + sigma sqrt(q / (1 - q)), widened by 1%.  :func:`_newton`
+    then solves on fewer components first: each solve of ``_STAGE_MASS``
+    drops the lightest ones by :func:`negligible`, up to that mass per
+    mixture, and stops within it, except the last, which keeps every
+    component and stops within ``_QUANTILE_TOL``.  So the full mixture is
+    evaluated once or twice.  An endpoint whose bracket closed to
+    adjacent doubles is returned as it stands.
+    """
+    q = np.asarray(q, dtype=np.float64)[:, None]
+    mean = np.bincount(owner, weights=w * m)
+    sd = np.sqrt(np.maximum(np.bincount(owner, weights=w * (s * s + m * m)) - mean * mean, 0.0))
+    odds = q / (1.0 - q)
+    lo = mean - sd * (1.01 / np.sqrt(odds))        # Cantelli: F(lo) <= q <= F(hi)
+    hi = mean + sd * (1.01 * np.sqrt(odds))
+    x = np.clip(mean + sd * (math.sqrt(3.0) / math.pi) * np.log(odds), lo, hi)
+    for drop in _STAGE_MASS:
+        keep = np.flatnonzero(~negligible(w, drop)) if drop else slice(None)
+        x = _newton(w[keep], m[keep], s[keep], owner[keep], q, x, lo, hi,
+                    max(drop, _QUANTILE_TOL))
+    return x.T
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ def _rep_seeds(base_seed: int, rep_index: int) -> np.random.SeedSequence:
 
 def generate_replicate(s: SimScenario, rep_index: int) -> SurveyData:
     """Draw one replicate's estimates from the generating model."""
-    if not 0 <= rep_index <= s.reps:
-        raise DomainError(f"rep_index {rep_index} outside 0..{s.reps}")
+    if not 0 <= rep_index < s.reps:
+        raise DomainError(f"rep_index {rep_index} outside 0..{s.reps - 1}")
     return _replicate_data(s, _rep_seeds(s.base_seed, rep_index))
 
 

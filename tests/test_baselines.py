@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from uncpool import (DomainError, DpmConfig, DpmDraws, SurveyData, build_grid, cluster_stats,
-                     dpm_exact, dpm_gibbs, dpm_partition_prior, enumerate_partitions,
-                     evaluate_joint, marginal_delta2, pool_all)
+                     dpm_exact, dpm_gibbs, dpm_partition_prior, dpm_quadrature,
+                     enumerate_partitions, evaluate_joint, kernels, marginal_delta2, pool_all)
+from uncpool.baselines import _dpm_blocks
+from uncpool.grid import _holders
+from uncpool.quadrature import DPM_NODES, _dpm_mixture, _summarize
 
-from conftest import make_dixie
+from conftest import make_dixie, make_orange
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,109 @@ def test_dpm_exact_enumeration_bound():
     data = SurveyData([f"s{i}" for i in range(9)], rng.normal(size=9), np.ones(9))
     with pytest.raises(DomainError):
         dpm_exact(data, 0.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# quadrature over (eta, log tau2)
+# ---------------------------------------------------------------------------
+
+PANELS = [make_dixie(k) for k in (0.5, 1.0, 2.0)] + [make_orange(s) for s in (0.036, 0.089, 0.179)]
+
+
+def reported(post):
+    return np.array([post.post_mean, post.post_sd, post.ci_lower, post.ci_upper])
+
+
+def tight_data(l):
+    """L sources with SEs of 0.002: merging two of them at a bad node costs hundreds of nats."""
+    rng = np.random.default_rng(60 + l)
+    return SurveyData([f"s{i}" for i in range(l)], rng.normal(0.3, 0.1, size=l),
+                      np.full(l, 0.002 ** 2))
+
+
+@pytest.mark.parametrize("l", [3, 5, 8])
+def test_dpm_quadrature_at_one_node_matches_exact_enumeration(l):
+    data = tight_data(l)
+    for eta, tau2, m in [(0.3, 0.004, 3.0), (1.1, 1e-3, 3.0), (-0.5, 1e-6, 0.5), (0.3, 1e3, 1.0)]:
+        cfg = DpmConfig(m=m, fixed_eta=eta, fixed_tau2=tau2)
+        assert _dpm_mixture(data, cfg, DPM_NODES, 1.0).mass.shape == (1 << l, 1)   # one node
+        post = dpm_quadrature(data, cfg)
+        exact = dpm_exact(data, eta=eta, tau2=tau2, m=m)
+        assert np.max(np.abs(np.array(post.post_mean) - exact.post_mean)) < 1e-12
+        assert np.max(np.abs(np.array(post.post_sd) - exact.post_sd)) < 1e-12
+
+
+def test_the_extreme_node_is_out_of_reach_of_linear_partition_sums():
+    # at the node the test above integrates in log space, Z(full) underflows
+    # unscaled and overflows once each source's singleton score is divided out
+    data = tight_data(8)
+    t = kernels.subset_table(data.y_hat, data.v, np.zeros(1))
+    score = _dpm_blocks(t, np.array([1.1 - t.shift]), np.array([1e-3]), 3.0)[0]
+    gain = score - kernels.membership(8).T @ score[[1 << i for i in range(8)]]
+    assert kernels.log_partition_sums(score)[-1, 0] < -746.0     # exp() of it is 0
+    assert kernels.log_partition_sums(gain)[-1, 0] > 710.0       # exp() of it is inf
+    assert gain.max() > 500.0                                    # one merge alone
+
+
+def test_dpm_quadrature_converges_in_nodes_and_box():
+    cfg = DpmConfig()
+    for data in PANELS:
+        base = reported(dpm_quadrature(data, cfg))
+        finer = reported(_summarize(cfg, _dpm_mixture(data, cfg, 2 * DPM_NODES, 1.0)))
+        wider = reported(_summarize(cfg, _dpm_mixture(data, cfg, DPM_NODES, 2.0)))
+        assert np.max(np.abs(finer - base)) < 1e-6          # n against 2n
+        assert np.max(np.abs(wider - base)) < 1e-6          # the box doubled, n kept
+
+
+def test_dpm_quadrature_endpoints_solve_the_unpruned_mixture():
+    for data in PANELS:
+        post = dpm_quadrature(data, DpmConfig())
+        mix = _dpm_mixture(data, DpmConfig(), DPM_NODES, 1.0)
+        assert np.allclose(kernels.membership(data.l) @ mix.mass.sum(axis=1), 1.0,
+                           rtol=0, atol=1e-13)     # each source's mixture weights sum to 1
+        for i, rows in enumerate(_holders(data.l)):
+            w = mix.mass[rows].ravel().tolist()
+            m = mix.mean[rows].ravel().tolist()
+            s = np.sqrt(mix.var[rows]).ravel().tolist()
+            for x, q in ((post.ci_lower[i], 0.025), (post.ci_upper[i], 0.975)):
+                z = [(mk - (x - mix.shift)) / (sk * math.sqrt(2.0)) for mk, sk in zip(m, s)]
+                f = 0.5 * math.fsum(wk * math.erfc(zk) for wk, zk in zip(w, z))
+                assert abs(f - q) < 1e-10
+
+
+def test_dpm_quadrature_moves_with_a_shift_and_permutes_with_the_sources():
+    data = make_orange(0.089)
+    base = reported(dpm_quadrature(data, DpmConfig()))
+    moved = SurveyData(data.labels, data.y_hat + 1e6, data.v)
+    shifted = reported(dpm_quadrature(moved, DpmConfig()))
+    shifted[[0, 2, 3]] -= 1e6
+    assert np.max(np.abs(shifted - base)) < 1e-8     # 1e6 carries about 1e-10 of rounding
+    order = [2, 0, 1]
+    flipped = SurveyData([data.labels[i] for i in order], data.y_hat[order], data.v[order])
+    assert np.max(np.abs(reported(dpm_quadrature(flipped, DpmConfig())) - base[:, order])) < 1e-12
+
+
+def test_dpm_quadrature_agrees_with_a_long_chain():
+    data = make_dixie(1.0)
+    post = dpm_quadrature(data, DpmConfig())
+    chain = dpm_gibbs(data, DpmConfig(iterations=22000, burn_in=2000, seed=11))
+    # over chain seeds 1-5 the moments differed by at most 3e-4, the endpoints by 1e-3
+    assert np.max(np.abs(np.array(post.post_mean) - chain.post_mean)) < 1e-3
+    assert np.max(np.abs(np.array(post.post_sd) - chain.post_sd)) < 1e-3
+    assert np.max(np.abs(np.array(post.ci_lower) - chain.ci_lower)) < 5e-3
+    assert np.max(np.abs(np.array(post.ci_upper) - chain.ci_upper)) < 5e-3
+
+
+def test_dpm_quadrature_validates_like_the_chain():
+    data = make_dixie(1.0)
+    for cfg in (DpmConfig(burn_in=-5), DpmConfig(iterations=100, burn_in=100), DpmConfig(seed=-1),
+                DpmConfig(thin=0), DpmConfig(m=0.0), DpmConfig(s_b=np.inf),
+                DpmConfig(fixed_tau2=0.0), DpmConfig(fixed_eta=np.nan)):
+        with pytest.raises(DomainError):
+            dpm_quadrature(data, cfg)
+    # the chain settings and the seed are checked but not read
+    assert (dpm_quadrature(data, DpmConfig(seed=0, iterations=50, burn_in=5))
+            .post_mean == dpm_quadrature(data, DpmConfig(seed=7)).post_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from uncpool import ReportDocument
+from uncpool.baselines import DPM_QUADRATURE_MAX_L
 from uncpool.cli import run_command
 
 DIXIE_CSV = "label,estimate,se\nSAHIE,0.254,0.014\nHS,0.361,0.028\nCDC,0.359,0.014\n"
@@ -98,6 +100,61 @@ def test_dpm_command(dixie_file, tmp_path):
     rows = doc.results["dpm"]["rows"]
     assert len(rows) == 3
     assert all(r["ci_lower"] <= r["post_mean"] <= r["ci_upper"] for r in rows)
+
+
+def _wide_input(tmp_path, l):
+    rng = np.random.default_rng(l)
+    rows = [f"s{i},{y!r},{se!r}" for i, (y, se) in
+            enumerate(zip(rng.normal(0.3, 0.05, l).tolist(), rng.uniform(0.01, 0.04, l).tolist()))]
+    f = tmp_path / f"wide{l}.csv"
+    f.write_text("label,estimate,se\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return f
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the Gibbs chain ran")
+
+
+@pytest.mark.parametrize("l", [3, DPM_QUADRATURE_MAX_L])
+def test_dpm_reports_by_quadrature_without_the_chain(tmp_path, monkeypatch, l):
+    for target in ("uncpool.cli.dpm_gibbs", "uncpool.baselines.dpm_gibbs",
+                   "uncpool.kernels.dpm_chain"):
+        monkeypatch.setattr(target, _fail)
+    out = tmp_path / "dpm.json"
+    assert run_command(["dpm", "--input", str(_wide_input(tmp_path, l)),
+                        "--output", str(out)]) == 0
+    dpm = json.loads(out.read_text(encoding="utf-8"))["results"]["dpm"]
+    assert dpm["method"] == "quadrature" and len(dpm["rows"]) == l
+
+
+@pytest.mark.parametrize("l", [DPM_QUADRATURE_MAX_L + 1, 9])
+def test_dpm_runs_the_chain_above_the_quadrature_bound(tmp_path, l):
+    inp = _wide_input(tmp_path, l)
+    docs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"dpm{seed}.json"
+        assert run_command(["dpm", "--input", str(inp), "--iterations", "60", "--burn-in", "10",
+                            "--seed", seed, "--output", str(out)]) == 0
+        docs.append(json.loads(out.read_text(encoding="utf-8"))["results"]["dpm"])
+    assert docs[0]["method"] == docs[1]["method"] == "gibbs"
+    assert docs[0]["rows"] != docs[1]["rows"]
+
+
+def test_dpm_report_does_not_depend_on_the_seed(dixie_file, tmp_path):
+    for fmt in ("json", "md", "csv"):
+        texts = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"dpm{seed}.{fmt}"
+            assert run_command(["dpm", "--input", str(dixie_file), "--seed", seed,
+                                "--format", fmt, "--output", str(out)]) == 0
+            texts.append(out.read_text(encoding="utf-8"))
+        if fmt == "csv":
+            assert texts[0] == texts[1]
+        else:   # equal but for the echoed seed
+            assert texts[0] != texts[1]
+            echo = ('"seed": 7', '"seed": 0') if fmt == "json" else ("seed: 7 ", "seed: 0 ")
+            assert texts[1].replace(*echo) == texts[0]
+    assert "method: quadrature" in (tmp_path / "dpm0.md").read_text(encoding="utf-8")
 
 
 def test_dpm_rejects_negative_burn_in(dixie_file, capsys):
@@ -233,12 +290,14 @@ def test_console_entry_point():
 
 
 def test_cli_import_stays_lazy():
-    # a command that does not simulate must not pay for the harness or its pool
+    # a command that does not simulate must not pay for the harness or its pool,
+    # nor one that does not report a DPM for the quadrature
     import subprocess
     import sys
 
     code = ("import sys, uncpool, uncpool.cli\n"
             "assert 'uncpool.simulation' not in sys.modules\n"
+            "assert 'uncpool.quadrature' not in sys.modules\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "missing = [n for n in uncpool.__all__ if not hasattr(uncpool, n)]\n"
             "assert not missing, missing\n")
@@ -257,6 +316,8 @@ def test_commands_do_not_import_numpy_ma(dixie_file, tmp_path):
     inp = ["--input", str(dixie_file)]
     runs = [["pool", *inp, "--r", "50", "--b", "200"], ["pool-all", *inp, "--r", "50", "--b", "200"],
             ["dpm", *inp, "--iterations", "60", "--burn-in", "10"],
+            ["dpm", "--input", str(_wide_input(tmp_path, 9)), "--iterations", "60",
+             "--burn-in", "10"],
             ["simulate", "--scenario", str(scen)]]
     code = ("import sys\n"
             "from uncpool.cli import run_command\n"

@@ -1,9 +1,12 @@
+import csv
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncpool import (DomainError, InputRecord, ParseError, ReportDocument,
                      RunConfig, SurveyData, build_grid, enumerate_partitions,
@@ -204,6 +207,52 @@ def test_report_renderers():
     assert render_report(doc, "json") == doc.to_json()
     with pytest.raises(DomainError):
         render_report(doc, "yaml")
+
+
+# Labels the CSV reader gives back unchanged: no surrounding blanks (cells are
+# stripped), no line breaks; commas and quotes are quoted by the writer.
+_LABELS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+                  min_size=1, max_size=8).map(str.strip).filter(bool)
+_SUMMARY_ROWS = st.lists(
+    st.tuples(_LABELS, st.floats(-1e6, 1e6, allow_nan=False),
+              st.floats(1e-150, 1e150, allow_nan=False)),
+    min_size=1, max_size=6, unique_by=lambda row: row[0])
+_BINOMIAL_ROWS = st.lists(
+    st.tuples(_LABELS, st.integers(1, 10 ** 9)).flatmap(
+        lambda row: st.tuples(st.just(row[0]), st.integers(0, row[1]), st.just(row[1]))),
+    min_size=1, max_size=6, unique_by=lambda row: row[0])
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=st.sampled_from(["summary", "binomial"]), data=st.data())
+def test_input_echo_round_trips_through_a_summary_csv(form, data):
+    if form == "summary":
+        rows = data.draw(_SUMMARY_ROWS)
+        text = _csv_text(["label", "estimate", "se"],
+                         [(a, repr(y), repr(se)) for a, y, se in rows])
+    else:
+        rows = data.draw(_BINOMIAL_ROWS)
+        text = _csv_text(["label", "cases", "total"], rows)
+    echo = input_echo(parse_input(io.StringIO(text)))
+    assert echo["form"] == form
+    summary = _csv_text(["label", "estimate", "se"],
+                        [(a, repr(y), repr(math.sqrt(v)))
+                         for a, y, v in zip(echo["labels"], echo["estimates"], echo["variances"])])
+    again = input_echo(parse_input(io.StringIO(summary)))
+    assert again["form"] == "summary"
+    assert again["labels"] == echo["labels"]
+    assert again["estimates"] == echo["estimates"]
+    # se = sqrt(v) squared again lands within one ulp of v
+    for v0, v1 in zip(echo["variances"], again["variances"]):
+        assert abs(v1 - v0) <= math.ulp(v0)
 
 
 def test_run_config_validation():

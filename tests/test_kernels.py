@@ -80,6 +80,76 @@ def test_erfc_limits_and_shape():
     assert got[0].tolist() == [0.0, 2.0] and np.isnan(got[1, 0]) and got[1, 1] == 0.0
 
 
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_log_partition_sums_is_the_log_of_partition_sums(l):
+    rng = np.random.default_rng(40 + l)
+    phi = rng.uniform(0.05, 3.0, size=(1 << l, 7))
+    phi[0] = 0.0
+    lz = kernels.log_partition_sums(np.log(np.where(phi > 0, phi, 1.0)))
+    assert np.allclose(lz, np.log(kernels.partition_sums(phi)), rtol=0, atol=1e-13)
+
+
+def test_log_partition_sums_survives_scores_past_the_float_range():
+    # block scores of +-800 nats: exp() of any one of them overflows or underflows
+    l = 4
+    rng = np.random.default_rng(44)
+    log_phi = rng.uniform(-800.0, 800.0, size=(1 << l, 5))
+    lz = kernels.log_partition_sums(log_phi)
+    padded = np.vstack([np.zeros((1, 5)), log_phi[1:]])    # the empty set pads with 0
+    per_partition = padded[enumerate_partitions(l).cluster_masks].sum(axis=1)   # (G, 5)
+    top = per_partition.max(axis=0)
+    want = top + np.log(np.exp(per_partition - top).sum(axis=0))
+    assert np.all(np.isfinite(lz))
+    assert np.allclose(lz[-1], want, rtol=1e-15, atol=0)
+
+
+def test_negligible_drops_the_lightest_entries_within_the_budget():
+    rng = np.random.default_rng(5)
+    w = 10.0 ** rng.uniform(-30.0, 0.0, size=5000)
+    for budget in (0.0, 1e-20, 1e-12, 1e-6, 1e-2):
+        drop = kernels.negligible(w, budget)
+        assert w[drop].sum() <= budget
+        if drop.any():
+            assert w[drop].max() <= w[~drop].min()
+    # whole binary-exponent buckets go, so it drops nearly as many as a sort would
+    n_sorted = np.searchsorted(np.cumsum(np.sort(w)), 1e-12, side="right")
+    assert kernels.negligible(w, 1e-12).sum() >= 0.9 * n_sorted
+
+
+def _mixture_cdf(w, m, s, x):
+    return 0.5 * math.fsum(wk * math.erfc((mk - x) / (sk * math.sqrt(2.0)))
+                           for wk, mk, sk in zip(w, m, s))
+
+
+def test_mixture_quantiles_of_one_normal():
+    x = kernels.mixture_quantiles(np.ones(1), np.array([0.3]), np.array([0.02]),
+                                  np.zeros(1, dtype=np.int64), (0.025, 0.5, 0.975))
+    assert x.shape == (1, 3)
+    assert x[0] == pytest.approx([0.3 - 1.959963984540054 * 0.02, 0.3,
+                                  0.3 + 1.959963984540054 * 0.02], abs=1e-13)
+
+
+def test_mixture_quantiles_solve_skewed_and_bimodal_mixtures():
+    # mixture 0: two far modes with a 0.03 / 0.97 split, so the 2.5% point sits
+    # in the small mode and a Newton step from the mean lands in the empty valley;
+    # mixture 1: a long right tail; mixture 2: many random components
+    rng = np.random.default_rng(8)
+    comps = [([0.03, 0.97], [-5.0, 0.0], [0.1, 0.1]),
+             ([0.9, 0.09, 0.01], [0.0, 0.5, 3.0], [0.05, 0.3, 1.0])]
+    w3 = rng.uniform(size=300)
+    comps.append((w3 / w3.sum(), rng.normal(0.0, 1.0, 300), rng.uniform(0.01, 0.5, 300)))
+    w = np.concatenate([np.asarray(c[0], float) for c in comps])
+    m = np.concatenate([np.asarray(c[1], float) for c in comps])
+    s = np.concatenate([np.asarray(c[2], float) for c in comps])
+    owner = np.repeat(np.arange(3), [len(c[0]) for c in comps])
+    levels = (0.025, 0.975)
+    x = kernels.mixture_quantiles(w, m, s, owner, levels)
+    for k, (wk, mk, sk) in enumerate(comps):
+        for j, q in enumerate(levels):
+            assert abs(_mixture_cdf(wk, mk, sk, x[k, j]) - q) < 1e-12
+    assert x[0, 0] < -4.0
+
+
 def _chain_inputs(seed=4, t=400, l=3):
     rng = np.random.default_rng(seed)
     y = np.array([0.254, 0.361, 0.359])

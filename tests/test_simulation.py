@@ -47,6 +47,10 @@ def test_generate_replicate_index_bounds():
         generate_replicate(s, -1)
     with pytest.raises(DomainError):
         generate_replicate(s, s.reps + 1)
+    # run_scenario runs replicates 0..reps-1, so index reps is one past the last
+    with pytest.raises(DomainError, match=rf"outside 0\.\.{s.reps - 1}$"):
+        generate_replicate(s, s.reps)
+    generate_replicate(s, s.reps - 1)
 
 
 def test_tiny_variances_pin_estimates_to_truth():
