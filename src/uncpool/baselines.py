@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import (DeltaGrid, JointGridPosterior, _draw_cells, _solve, interval95,
-                   marginal_delta2)
+from .grid import (DeltaGrid, JointGridPosterior, _check_sources, _draw_cells, _solve,
+                   interval95, marginal_delta2)
 from .model import SurveyData
 from .partitions import Partition, PartitionSpace, enumerate_partitions, growth_codes
 
@@ -56,11 +56,13 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
         raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
-    if jp is not None and not np.array_equal(jp.grid.deltas2, grid.deltas2):
-        raise DomainError(f"jp was built on a grid of R={jp.grid.r}, not on this R={grid.r} grid")
     if jp is None:
         table, *_, weights = _solve(data, grid)
     else:
+        _check_sources(data, jp)
+        if not np.array_equal(jp.grid.deltas2, grid.deltas2):
+            raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
+                              f"not on this R={grid.r} grid")
         table, weights = jp.table, marginal_delta2(jp)
     shift = table.shift
     mean_c, var_c = table.ybar[-1], 1.0 / table.a[-1]

@@ -313,6 +313,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     mu is then drawn by the two-stage scheme of :func:`_draw_mu` from the
     cell's rows of the subset table.  Reproducible given the seed.
     """
+    _check_sources(data, jp)
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     rng = np.random.default_rng(seed)
@@ -332,16 +333,16 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     )
 
 
-def _source_terms(data: SurveyData,
-                  t: kernels.SubsetTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, R) lam_i (y_i - shift), 1 - lam_i and delta2 (1 - lam_i) on the grid.
+def _source_terms(data: SurveyData, t: kernels.SubsetTable,
+                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, cells) lam_i (y_i - shift), 1 - lam_i and delta2 (1 - lam_i) on grid cells [0, stop).
 
     Given its block S and the cell, source i is normal with mean
     lam_i y_i + (1 - lam_i) ybar_S, which is shift + own + oml ybar_S in the
     table's centred terms, and variance delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S,
-    which is within + oml^2 / A_S.
+    which is within + oml^2 / A_S.  Every cell without ``stop``.
     """
-    d2 = t.deltas2[None, :]
+    d2 = t.deltas2[None, :stop]
     v = data.v[:, None]
     oml = v / (d2 + v)
     own = d2 / (d2 + v) * (data.y_hat - t.shift)[:, None]
@@ -357,6 +358,7 @@ def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.
     Moments are formed about the table's shift, so E[x^2] - E[x]^2 does
     not cancel for offset data.
     """
+    _check_sources(data, jp)
     t, p = jp.table, jp.delta2_probs
     member = kernels.membership(data.l)                      # (L, 2^L)
     w = jp.block_mass
@@ -384,31 +386,42 @@ def _holders(l: int) -> np.ndarray:
 #: are mapped afresh on every call and page-faulted in.
 _CDF_CELLS = 1 << 13
 
+#: Largest posterior delta2 mass :func:`covers95` leaves out of its first,
+#: partial CDF sum.  The grid gives every cell equal prior mass, so p(j)
+#: thins out along the grid's long upper tail, and all but 1e-4 of it
+#: typically sits in the first tenth of the cells.
+_TAIL_MASS = 1e-4
 
-def mixture_cdf(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
-    """(L,) posterior probability that mu_i <= x_i, for every source i.
+#: Allowance for rounding in :func:`covers95`'s bracket, far above the
+#: about 1e-12 by which two sums of the same mixture can differ.
+_ROUNDING = 1e-9
 
-    mu_i's posterior is a finite normal mixture: one component per block
-    S holding i and cell j, with weight W[S, j] and the moments of
-    :func:`_source_terms`.  So F_i(x_i) is exactly
-    1/2 sum W[S, j] erfc((m - x_i) / sqrt(2 s^2)), summed over
-    (L, 2^(L-1), cells) arrays, a block of cells at a time, with no draws.
-    Means are differenced from x about the table's shift, so offset data
-    lose no digits.
-    """
+
+def _check_sources(data: SurveyData, jp: JointGridPosterior) -> None:
+    if data.l != jp.space.l:
+        raise DomainError(f"data has L={data.l} but the posterior was built for L={jp.space.l}")
+
+
+def _checked_point(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
+    _check_sources(data, jp)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (data.l,):
         raise DomainError(f"need one point per source, shape ({data.l},), got {x.shape}")
+    return x
+
+
+def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int) -> np.ndarray:
+    """(L,) the sum of :func:`mixture_cdf` over the cells [0, stop) only."""
     t, w = jp.table, jp.block_mass
-    own, oml, within = _source_terms(data, t)
+    own, oml, within = _source_terms(data, t, stop)
     own -= (x - t.shift)[:, None]
     within *= 2.0
     oml2 = 2.0 * oml * oml
     held = _holders(data.l)
     total = np.zeros(data.l)
     step = max(1, _CDF_CELLS // held.size)
-    for c in range(0, jp.grid.r, step):
-        cols = slice(c, c + step)
+    for c in range(0, stop, step):
+        cols = slice(c, min(c + step, stop))
         arg = t.ybar[:, cols].take(held, axis=0)          # (L, H, cells), then (m - x)
         arg *= oml[:, None, cols]
         arg += own[:, None, cols]
@@ -420,6 +433,47 @@ def mixture_cdf(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
         total += np.einsum("lhr,lhr->l", w[:, cols].take(held, axis=0), kernels.erfc(arg))
     total *= 0.5
     return total
+
+
+def mixture_cdf(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
+    """(L,) posterior probability that mu_i <= x_i, for every source i.
+
+    mu_i's posterior is a finite normal mixture: one component per block
+    S holding i and cell j, with weight W[S, j] and the moments of
+    :func:`_source_terms`.  So F_i(x_i) is exactly
+    1/2 sum W[S, j] erfc((m - x_i) / sqrt(2 s^2)), summed over
+    (L, 2^(L-1), cells) arrays, a block of cells at a time, with no draws.
+    Means are differenced from x about the table's shift, so offset data
+    lose no digits.  :func:`covers95` decides interval coverage from a
+    prefix of the cells and calls this only when the prefix cannot.
+    """
+    x = _checked_point(data, jp, x)
+    return _cdf_sum(data, jp, x, jp.grid.r)
+
+
+def covers95(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
+    """(L,) whether x_i lies in source i's exact equal-tailed 95% interval.
+
+    That is 0.025 <= F_i(x_i) <= 0.975, decided as from the full
+    :func:`mixture_cdf` but mostly from a prefix of the cells.  Take the
+    shortest prefix [0, k) whose tail mass eps = sum_{j >= k} p(j) is at
+    most ``_TAIL_MASS``.  Summed over the blocks holding i, W gives p(j),
+    and each component's CDF lies in [0, 1], so F_i(x_i) lies in
+    [F_prefix, F_prefix + eps].  When that bracket, widened by
+    ``_ROUNDING``, holds neither bound for any source, every point of it,
+    the full sum included, gives the same decision; otherwise, and when no
+    tail is negligible (k = R), the full sum decides.
+    """
+    x = _checked_point(data, jp, x)
+    tail = np.cumsum(jp.delta2_probs[::-1])      # tail[n - 1]: mass of the last n cells
+    n = int(tail.searchsorted(_TAIL_MASS, side="right"))
+    if n:
+        f = _cdf_sum(data, jp, x, jp.grid.r - n)
+        lo, hi = f - _ROUNDING, f + (tail[n - 1] + _ROUNDING)
+        if all(np.all((hi < b) | (lo > b)) for b in _TAILS):
+            return (f >= _TAILS[0]) & (f <= _TAILS[1])
+    f = mixture_cdf(data, jp, x)
+    return (f >= _TAILS[0]) & (f <= _TAILS[1])
 
 
 @dataclass(frozen=True)
@@ -565,6 +619,10 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
     enumeration order, keyed by cluster notation, with the conventional
     1..5 labels attached when L = 3.
     """
+    _check_sources(data, jp)
+    if draws.mu.ndim != 2 or draws.mu.shape[1] != data.l:
+        raise DomainError(f"draws of mu must have one column per source, L={data.l}; "
+                          f"got shape {draws.mu.shape}")
     mean, sd = exact_mixture_moments(data, jp)
     lo, hi = interval95(draws.mu)
     probs = []

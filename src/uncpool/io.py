@@ -301,10 +301,12 @@ def parse_scenario(source) -> SimScenario:
     """Parse a flat ``key = value`` scenario file.
 
     Recognized keys: psi1, psi2, v1, v2, delta_shift (alias: delta), reps,
-    r, b, base_seed.  Lines starting with ``#`` are comments.
+    r, b, base_seed.  Lines starting with ``#`` are comments.  A key given
+    twice, under either name, is a ParseError naming both lines.
     """
     lines = _read_lines(source)
     kwargs: dict = {}
+    first_seen: dict[str, int] = {}
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -317,6 +319,9 @@ def parse_scenario(source) -> SimScenario:
             key = "delta_shift"
         if key not in _SCENARIO_KEYS:
             raise ParseError(f"unknown scenario key {key!r}", line=i)
+        if key in first_seen:
+            raise ParseError(f"{key} is set again; first set on line {first_seen[key]}", line=i)
+        first_seen[key] = i
         try:
             kwargs[key] = _SCENARIO_KEYS[key](val.strip())
         except ValueError:

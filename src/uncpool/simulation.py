@@ -18,8 +18,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError
-from .grid import (_TAILS, DeltaGrid, build_grid, evaluate_joint, exact_mixture_moments,
-                   marginal_g, mixture_cdf)
+from .grid import (DeltaGrid, build_grid, covers95, evaluate_joint, exact_mixture_moments,
+                   marginal_g)
 from .model import SurveyData
 from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
 
@@ -139,16 +139,23 @@ def _shared(r: int) -> tuple[PartitionSpace, DeltaGrid, np.ndarray]:
 
 
 def _run_replicate(s: SimScenario, rep_index: int) -> dict:
+    """One replicate's partition probabilities, posterior moments and coverage.
+
+    Coverage is ``grid.covers95`` at the truth: whether 0.025 <= F_i(truth_i)
+    <= 0.975 for the exact posterior mixture CDF of each mu_i.  It sums the
+    CDF over the head of the delta2 posterior, and over every cell only
+    when the left-out tail could change a decision, so the decisions are
+    those of the full ``grid.mixture_cdf``.
+    """
     space, grid, order = _shared(s.r)
     data = _replicate_data(s, _rep_seeds(s.base_seed, rep_index))
     jp = evaluate_joint(data, space, grid)
     mean, sd = exact_mixture_moments(data, jp)
-    cdf = mixture_cdf(data, jp, s.truth)
     return {
         "p_g": marginal_g(jp)[order],
         "post_mean": mean,
         "post_sd": sd,
-        "covered": ((cdf >= _TAILS[0]) & (cdf <= _TAILS[1])).astype(float),
+        "covered": covers95(data, jp, s.truth).astype(float),
     }
 
 

@@ -246,6 +246,17 @@ def test_simulate_rejects_small_grid_or_draw_count(tmp_path, capsys, fake_pool, 
     assert not (tmp_path / "out.json").exists()
 
 
+def test_simulate_rejects_a_repeated_scenario_key(tmp_path, capsys, fake_pool):
+    # reps = 3 then reps = 5 used to run 5 replicates and exit 0
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 3\nr = 60\nreps = 5\n", encoding="utf-8")
+    assert run_command(["simulate", "--scenario", str(scen),
+                        "--output", str(tmp_path / "out")]) == 1
+    assert "error: line 3: reps is set again; first set on line 1" in capsys.readouterr().err
+    assert fake_pool == []
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("n_jobs", ["0", "-4"])
 def test_simulate_rejects_n_jobs_below_one(tmp_path, capsys, fake_pool, n_jobs):
     scen = tmp_path / "scen.txt"

@@ -8,7 +8,9 @@ from uncpool import (ComputationError, DomainError, JointGridPosterior, Partitio
                      SurveyData, build_grid, conditional_moments, enumerate_partitions,
                      evaluate_joint, exact_mixture_moments, log_joint_kernel,
                      marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu, summarize)
-from uncpool.grid import _draw_mu_for_partition, interval95, mixture_cdf
+from uncpool import grid
+from uncpool.grid import (PosteriorDraws, _draw_mu_for_partition, covers95, interval95,
+                          mixture_cdf)
 from uncpool.kernels import SubsetTable, partition_sums, q_matrix, subset_table
 
 from conftest import make_dixie
@@ -260,6 +262,114 @@ def test_mixture_cdf_needs_one_point_per_source(dixie_panel1):
     jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(20))
     with pytest.raises(DomainError, match="one point per source"):
         mixture_cdf(dixie_panel1, jp, np.zeros(2))
+
+
+def _points_at(data, jp, q):
+    """(L,) x with F_i(x_i) = q_i for the full mixture CDF, by bisection to the last bit."""
+    lo, hi = np.full(data.l, -1.0), np.full(data.l, 2.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = mixture_cdf(data, jp, mid) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def full_cdf_calls(monkeypatch):
+    """Count the full-grid CDF sums covers95 falls back to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mixture_cdf(*args)
+    monkeypatch.setattr(grid, "mixture_cdf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("margin, full_sums", [(1e-3, 0), (1e-6, 1)])
+@pytest.mark.parametrize("bound", [0.025, 0.975])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_covers95_decides_as_the_full_cdf_near_each_bound(dixie_panel1, full_cdf_calls, margin,
+                                                          full_sums, bound, side):
+    # 1e-3 from a bound the head of p(j) decides; 1e-6 from it the left-out
+    # tail (up to 1e-4) could tip a decision, so the full sum decides
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(2000))
+    x = _points_at(dixie_panel1, jp, np.full(3, bound + side * margin))
+    f = mixture_cdf(dixie_panel1, jp, x)
+    assert np.allclose(f, bound + side * margin, rtol=0.0, atol=1e-12)
+    assert np.array_equal(covers95(dixie_panel1, jp, x), (f >= 0.025) & (f <= 0.975))
+    assert len(full_cdf_calls) == full_sums
+
+
+@pytest.mark.parametrize("bound", [0.025, 0.975])
+def test_covers95_decides_as_the_full_cdf_at_every_margin(dixie_panel1, bound):
+    # a coarse grid gives the cells next to the prefix cut much of the tail
+    # mass, so a bracket that forgets any of it decides some margins wrongly
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(60))
+    at = _points_at(dixie_panel1, jp, np.full(3, bound))
+    pdf = (mixture_cdf(dixie_panel1, jp, at + 1e-7) - mixture_cdf(dixie_panel1, jp, at - 1e-7)) / 2e-7
+    margins = np.geomspace(1e-7, 1e-3, 12)
+    for margin in np.concatenate([-margins, margins]):
+        x = at + margin / pdf
+        f = mixture_cdf(dixie_panel1, jp, x)
+        assert np.array_equal(covers95(dixie_panel1, jp, x), (f >= 0.025) & (f <= 0.975)), margin
+
+
+def test_covers95_sums_every_cell_without_a_negligible_tail(full_cdf_calls):
+    # on a 3-cell grid the last cell alone holds more than the tail budget
+    data = SurveyData(("a", "b", "c"), [0.0, 3.0, 6.0], [1.0, 1.0, 1.0])
+    jp = evaluate_joint(data, enumerate_partitions(3), build_grid(3))
+    assert jp.delta2_probs[-1] > grid._TAIL_MASS
+    mean, sd = exact_mixture_moments(data, jp)
+    for k in (-3.0, 0.0, 3.0):
+        x = mean + k * sd
+        f = mixture_cdf(data, jp, x)
+        del full_cdf_calls[:]
+        assert np.array_equal(covers95(data, jp, x), (f >= 0.025) & (f <= 0.975))
+        assert len(full_cdf_calls) == 1
+
+
+def test_covers95_is_unmoved_by_a_shift(full_cdf_calls):
+    # estimates and points on a 2^-16 lattice, so adding 1e6 rounds nothing
+    rng = np.random.default_rng(8)
+    y = np.round(rng.normal(0.3, 0.08, size=3) * 2 ** 16) / 2 ** 16
+    data = SurveyData(("a", "b", "c"), y, rng.uniform(0.006, 0.04, size=3) ** 2)
+    moved = SurveyData(("a", "b", "c"), y + 1e6, data.v)
+    space, grid_ = enumerate_partitions(3), build_grid(2000)
+    jp, jp_moved = evaluate_joint(data, space, grid_), evaluate_joint(moved, space, grid_)
+    for q in (0.024, 0.026, 0.974, 0.976):
+        x = np.round(_points_at(data, jp, np.full(3, q)) * 2 ** 16) / 2 ** 16
+        want = covers95(data, jp, x)
+        assert np.array_equal(covers95(moved, jp_moved, x + 1e6), want)
+        f = mixture_cdf(data, jp, x)
+        assert np.array_equal(want, (f >= 0.025) & (f <= 0.975))
+    assert full_cdf_calls == []
+
+
+def test_posterior_for_another_l_is_refused():
+    jp = evaluate_joint(small_data(np.random.default_rng(1), 3), enumerate_partitions(3),
+                        build_grid(40))
+    data = small_data(np.random.default_rng(2), 4)
+    draws = PosteriorDraws(b=2, mu=np.zeros((2, 4)), g_indices=np.zeros(2, dtype=np.int64),
+                           delta2_values=jp.grid.deltas2[:2], seed=0)
+    calls = [lambda: sample_mu(data, jp, 10, seed=0),
+             lambda: summarize(data, jp, draws),
+             lambda: exact_mixture_moments(data, jp),
+             lambda: mixture_cdf(data, jp, np.zeros(4)),
+             lambda: covers95(data, jp, np.zeros(4)),
+             lambda: pool_all(data, jp.grid, b=10, jp=jp)]
+    for call in calls:
+        with pytest.raises(DomainError, match="data has L=4 but the posterior was built for L=3"):
+            call()
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (5, 4), (15,)])
+def test_summarize_refuses_draws_of_another_width(dixie_panel1, shape):
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(40))
+    draws = PosteriorDraws(b=5, mu=np.zeros(shape), g_indices=np.zeros(5, dtype=np.int64),
+                           delta2_values=jp.grid.deltas2[:5], seed=0)
+    with pytest.raises(DomainError, match=rf"one column per source, L=3; got shape \({shape[0]},"):
+        summarize(dixie_panel1, jp, draws)
 
 
 def test_refinement_stability(dixie_panel1):

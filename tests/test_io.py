@@ -294,6 +294,20 @@ def test_parse_scenario_defaults_and_errors(tmp_path):
         parse_scenario(io.StringIO("reps = many\n"))
 
 
+@pytest.mark.parametrize("text, line, first", [
+    ("reps = 3\nreps = 5\n", 2, 1),
+    ("delta_shift = 0.1\n# the alias names the same field\ndelta = 0.2\n", 3, 1),
+    ("Reps = 3\n\nb = 10\nREPS = 3\n", 4, 1),
+])
+def test_parse_scenario_rejects_a_repeated_key(text, line, first):
+    # the last value used to win silently
+    key = "delta_shift" if "delta" in text else "reps"
+    with pytest.raises(ParseError, match=rf"^line {line}: {key} is set again; "
+                                         rf"first set on line {first}$") as err:
+        parse_scenario(io.StringIO(text))
+    assert err.value.line == line
+
+
 def test_sim_report_serializers():
     from uncpool import SimScenario, run_scenario
 

@@ -144,6 +144,36 @@ def test_replicate_makes_no_draws(monkeypatch):
     assert all(0.0 <= c <= 1.0 for c in report.coverage)
 
 
+#: The criterion-4 study of tests/test_acceptance.py, 60 replicates per shift.
+ACCEPTANCE_SCENARIOS = [SimScenario(delta_shift=k * DELTA_STEP, reps=60, r=2000,
+                                    base_seed=20260809) for k in (0, 4, 8)]
+
+
+def _report_bytes(scenarios):
+    return [(sim_report_json(r), sim_report_csv(r)) for r in map(run_scenario, scenarios)]
+
+
+def test_coverage_equals_a_full_cdf_reference_byte_for_byte(monkeypatch):
+    fast = _report_bytes(ACCEPTANCE_SCENARIOS)
+
+    def full_cdf_covers(data, jp, x):
+        f = grid.mixture_cdf(data, jp, x)
+        return (f >= 0.025) & (f <= 0.975)
+    monkeypatch.setattr(simulation, "covers95", full_cdf_covers)
+    assert _report_bytes(ACCEPTANCE_SCENARIOS) == fast
+
+
+def test_replicates_rarely_sum_the_full_cdf(monkeypatch):
+    # the head of p(j) settles nearly every coverage decision; a change that
+    # loses the prefix path makes every replicate sum all 2000 cells
+    calls = []
+    full = grid.mixture_cdf
+    monkeypatch.setattr(grid, "mixture_cdf", lambda *args: calls.append(args) or full(*args))
+    for s in ACCEPTANCE_SCENARIOS:
+        run_scenario(s)
+    assert 100 * len(calls) <= 3 * 60
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["psi1", "psi2", "delta_shift", "v1", "v2"])
 def test_scenario_rejects_non_finite_fields(field, value):
