@@ -48,24 +48,25 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     1/sum(1/(V_i+delta2)).  The mixture runs over the delta2 marginal p(j)
     of the partition-averaged posterior; mean and SD come from the exact
     mixture, the 95% interval from ``b`` draws.  The conditional moments
-    are read from the full-set row of the subset table.  Without ``jp``,
-    only the table and the subset recursion are built; no partition is
-    enumerated.
+    are read from the full-set row of the subset table and of 1/A_S in
+    the posterior's V-only terms.  Without ``jp``, only the table and the
+    subset recursion are built; no partition is enumerated.
     """
     if data.l < 2:
         raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     if jp is None:
-        table, *_, weights = _solve(data, grid)
+        solved = _solve(data, grid)
+        table, terms, weights = solved["table"], solved["terms"], solved["delta2_probs"]
     else:
         _check_sources(data, jp)
         if not np.array_equal(jp.grid.deltas2, grid.deltas2):
             raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
                               f"not on this R={grid.r} grid")
-        table, weights = jp.table, marginal_delta2(jp)
+        table, terms, weights = jp.table, jp.terms, marginal_delta2(jp)
     shift = table.shift
-    mean_c, var_c = table.ybar[-1], 1.0 / table.a[-1]
+    mean_c, var_c = table.ybar[-1], terms.inv_a[-1]
     mean = float((weights * mean_c).sum())
     e2 = float((weights * (var_c + mean_c ** 2)).sum())
     sd = math.sqrt(max(e2 - mean * mean, 0.0))

@@ -18,6 +18,15 @@ W[S, j] = p(j) phi(S, j) Z(full - S, j) / Z(full, j), the posterior
 probability that S is a block and the cell is j.  The moments, the mixture
 CDF, the draws, complete pooling and the partition listing read these; the
 lattice itself is built only when ``JointGridPosterior.log_mass`` is read.
+
+What depends on the variances and the grid alone (A_S, 1/A_S, the
+shrinkage factors, the V-only part of the cell factor, the CDF component
+SDs) comes from ``kernels.variance_terms``, built once per (V, grid) and
+shared, read-only, by every posterior on them.  What depends on the
+estimates (ybar, q, phi, Z and W) is written in place into the rows of one
+(5, 2^L, R) array per posterior, so an analysis makes one large
+allocation.  The posterior keeps the estimates and variances it was built
+from, and every consumer refuses other data.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ComputationError, DomainError
-from .model import SurveyData, log_inv_beta_prior
+from .model import SurveyData
 from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
                          growth_codes)
 
@@ -70,11 +79,15 @@ def build_grid(r: int) -> DeltaGrid:
 class JointGridPosterior:
     """Normalised posterior over (partition, cell), held as per-subset sums.
 
-    ``table`` holds the per-subset statistics, ``phi`` the block factors
-    and ``z`` the partition sums of ``kernels.partition_sums``;
-    ``log_cell`` is log(c_j / Bell(L)), the part of a cell's log weight
-    that no block owns.  ``space`` is the full partition space, which the
-    lattice view and the partition indices of the draws refer to.
+    ``table`` holds the per-subset statistics, ``phi`` the block factors,
+    ``z`` the partition sums of ``kernels.partition_sums`` and
+    ``block_mass`` W[S, j], the posterior probability that S is a block
+    and the cell is j (summed over the subsets holding any one source, W
+    gives p(j)).  ``log_cell`` is log(c_j / Bell(L)), the part of a cell's
+    log weight that no block owns.  ``space`` is the full partition space,
+    which the lattice view and the partition indices of the draws refer
+    to.  ``y_hat`` and ``v`` are the data the posterior was built from,
+    and ``terms`` the V-only arrays of ``kernels.variance_terms``.
     """
 
     grid: DeltaGrid
@@ -83,18 +96,12 @@ class JointGridPosterior:
     log_evidence: float
     phi: np.ndarray            # (2^L, R) phi(S, j); 0 for the empty set, never a block
     z: np.ndarray              # (2^L, R) Z(U, j)
+    block_mass: np.ndarray     # (2^L, R) W[S, j]
     log_cell: np.ndarray       # (R,)
     delta2_probs: np.ndarray   # (R,) p(j)
-
-    @cached_property
-    def block_mass(self) -> np.ndarray:
-        """(2^L, R) W[S, j]: posterior probability that S is a block and the cell is j.
-
-        Summed over the subsets holding any one source, W gives p(j).
-        """
-        w = self.phi * self.z[::-1]            # row S of z[::-1] is Z(full - S)
-        w *= self.delta2_probs / self.z[-1]
-        return w
+    y_hat: np.ndarray          # (L,)
+    v: np.ndarray              # (L,)
+    terms: kernels.VarianceTerms
 
     @cached_property
     def log_mass(self) -> np.ndarray:
@@ -110,40 +117,49 @@ class JointGridPosterior:
         return lm
 
 
-def _solve(data: SurveyData, grid: DeltaGrid):
-    """Subset table, block factors, partition sums, log cell factors, log evidence, p(j)."""
+def _solve(data: SurveyData, grid: DeltaGrid) -> dict:
+    """The fields of :class:`JointGridPosterior` but ``space``.
+
+    ybar, q, phi, Z and W are the rows of one (5, 2^L, R) array, each
+    written in place; phi's row serves as scratch until it is filled.
+    """
     y, v, d2 = data.y_hat, data.v, grid.deltas2
-    table = kernels.subset_table(y, v, d2)
-    phi = table.q * -0.5
+    terms = kernels.variance_terms(v, d2)
+    block = np.empty((5, 1 << data.l, grid.r))
+    _, q, phi, z, w = block
+    table = kernels.fill_subset_table(y, v, terms, block[:3])
+    np.multiply(q, -0.5, out=phi)
     phi -= 0.5
     np.exp(phi, out=phi)
     phi[0] = 0.0
-    z = kernels.partition_sums(phi)
-    log_cell = (0.5 * np.log(v[:, None] / (d2[None, :] + v[:, None])).sum(axis=0)
-                + log_inv_beta_prior(d2) + grid.log_prior_mass - math.log(bell_number(data.l)))
+    kernels.partition_sums_into(phi, z)
+    log_cell = terms.log_cell + grid.log_prior_mass - math.log(bell_number(data.l))
     log_w = log_cell + np.log(z[-1])
     if not np.all(np.isfinite(log_w)):
         j = int(np.argmin(np.isfinite(log_w)))
         raise ComputationError(f"non-finite posterior weight at grid cell {j} (delta2={d2[j]:g})")
     log_evidence = _logsumexp(log_w)
-    return table, phi, z, log_cell, log_evidence, np.exp(log_w - log_evidence)
+    p = np.exp(log_w - log_evidence)
+    np.multiply(phi, z[::-1], out=w)          # row S of z[::-1] is Z(full - S)
+    w *= p / z[-1]
+    return dict(grid=grid, table=table, log_evidence=log_evidence, phi=phi, z=z,
+                block_mass=w, log_cell=log_cell, delta2_probs=p, y_hat=y, v=v, terms=terms)
 
 
 def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid) -> JointGridPosterior:
     """Normalise the joint posterior over (partition, cell) by the subset recursion.
 
-    Builds the per-subset table once, the block factors phi and the
-    partition sums Z of every subset, in O(3^L R) time and O(2^L R)
-    memory.  The log evidence is log sum_j c_j Z(full, j) - log Bell(L),
-    the log of the mean kernel weight over partitions, summed over cells.
-    ``space`` must be the full enumeration of the L sources, which every
-    ``PartitionSpace`` is; only its L is checked against the data.
+    Builds the per-subset table once, the block factors phi, the
+    partition sums Z of every subset and the block masses W, in O(3^L R)
+    time and O(2^L R) memory.  The log evidence is log sum_j c_j Z(full, j)
+    - log Bell(L), the log of the mean kernel weight over partitions,
+    summed over cells.  ``space`` must be the full enumeration of the L
+    sources, which every ``PartitionSpace`` is; only its L is checked
+    against the data.
     """
     if data.l != space.l:
         raise DomainError(f"data has L={data.l} but partition space has L={space.l}")
-    table, phi, z, log_cell, log_evidence, p = _solve(data, grid)
-    return JointGridPosterior(grid=grid, space=space, table=table, log_evidence=log_evidence,
-                              phi=phi, z=z, log_cell=log_cell, delta2_probs=p)
+    return JointGridPosterior(space=space, **_solve(data, grid))
 
 
 def marginal_g(jp: JointGridPosterior) -> np.ndarray:
@@ -333,20 +349,19 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     )
 
 
-def _source_terms(data: SurveyData, t: kernels.SubsetTable,
+def _source_terms(jp: JointGridPosterior,
                   stop: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, cells) lam_i (y_i - shift), 1 - lam_i and delta2 (1 - lam_i) on grid cells [0, stop).
 
     Given its block S and the cell, source i is normal with mean
     lam_i y_i + (1 - lam_i) ybar_S, which is shift + own + oml ybar_S in the
     table's centred terms, and variance delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S,
-    which is within + oml^2 / A_S.  Every cell without ``stop``.
+    which is within + oml^2 / A_S.  Every cell without ``stop``.  ``own``
+    is a new array; the other two are read-only views of ``jp.terms``.
     """
-    d2 = t.deltas2[None, :stop]
-    v = data.v[:, None]
-    oml = v / (d2 + v)
-    own = d2 / (d2 + v) * (data.y_hat - t.shift)[:, None]
-    return own, oml, d2 * oml
+    terms = jp.terms
+    own = terms.lam[:, :stop] * (jp.y_hat - jp.table.shift)[:, None]
+    return own, terms.oml[:, :stop], terms.within[:, :stop]
 
 
 def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.ndarray, np.ndarray]:
@@ -363,22 +378,14 @@ def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.
     member = kernels.membership(data.l)                      # (L, 2^L)
     w = jp.block_mass
     nu2 = t.ybar * t.ybar                                     # E[nu_S^2 | cell]
-    nu2[1:] += 1.0 / t.a[1:]
+    nu2[1:] += jp.terms.inv_a[1:]
     nu2 *= w
     m1 = np.einsum("is,sr->ir", member, w * t.ybar)            # (L, R)
     m2 = np.einsum("is,sr->ir", member, nu2)
-    own, oml, within = _source_terms(data, t)
+    own, oml, within = _source_terms(jp)
     e1 = (own * p + oml * m1).sum(axis=1)
     e2 = (p * (within + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum(axis=1)
     return t.shift + e1, np.sqrt(e2 - e1 * e1)
-
-
-@lru_cache(maxsize=None)
-def _holders(l: int) -> np.ndarray:
-    """(L, 2^(L-1)) the subsets holding source i, ascending, in row i (read-only)."""
-    out = np.nonzero(kernels.membership(l))[1].reshape(l, -1)
-    out.flags.writeable = False
-    return out
 
 
 #: Most float64 values each array of one :func:`mixture_cdf` column block
@@ -398,8 +405,16 @@ _ROUNDING = 1e-9
 
 
 def _check_sources(data: SurveyData, jp: JointGridPosterior) -> None:
+    """Refuse data other than those ``jp`` was built from."""
     if data.l != jp.space.l:
         raise DomainError(f"data has L={data.l} but the posterior was built for L={jp.space.l}")
+    # SurveyData owns read-only arrays, so the same array means the same values
+    differ = [name for name, ours, theirs in (("estimates", data.y_hat, jp.y_hat),
+                                              ("variances", data.v, jp.v))
+              if ours is not theirs and not np.array_equal(ours, theirs)]
+    if differ:
+        raise DomainError(f"the posterior was built from other {' and '.join(differ)} "
+                          "than these data")
 
 
 def _checked_point(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
@@ -413,11 +428,10 @@ def _checked_point(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
 def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int) -> np.ndarray:
     """(L,) the sum of :func:`mixture_cdf` over the cells [0, stop) only."""
     t, w = jp.table, jp.block_mass
-    own, oml, within = _source_terms(data, t, stop)
+    own, oml, _ = _source_terms(jp, stop)
     own -= (x - t.shift)[:, None]
-    within *= 2.0
-    oml2 = 2.0 * oml * oml
-    held = _holders(data.l)
+    sd = jp.terms.cdf_sd                                   # sqrt(2 s^2)
+    held = kernels.holders(data.l)
     total = np.zeros(data.l)
     step = max(1, _CDF_CELLS // held.size)
     for c in range(0, stop, step):
@@ -425,11 +439,7 @@ def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int)
         arg = t.ybar[:, cols].take(held, axis=0)          # (L, H, cells), then (m - x)
         arg *= oml[:, None, cols]
         arg += own[:, None, cols]
-        sd = t.a[:, cols].take(held, axis=0)              # then sqrt(2 s^2)
-        np.divide(oml2[:, None, cols], sd, out=sd)
-        sd += within[:, None, cols]
-        np.sqrt(sd, out=sd)
-        arg /= sd
+        arg /= sd[:, :, cols]
         total += np.einsum("lhr,lhr->l", w[:, cols].take(held, axis=0), kernels.erfc(arg))
     total *= 0.5
     return total

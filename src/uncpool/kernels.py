@@ -14,6 +14,14 @@ the posterior draws, complete pooling and the exact DPM oracle all read that
 one table; ``model.py`` keeps the scalar per-cluster formulas as the
 reference.
 
+The table's work splits in two.  w, A_S, 1/A_S, the shrinkage factors
+lam_i = delta2/(delta2 + V_i) and 1 - lam_i, and the CDF component SDs
+depend on V and the grid alone: :func:`variance_terms` builds them once per
+(V, grid), keeps a few such sets in a cache and hands out read-only
+arrays, so the replicates of a simulation, which share V, build them once.
+B_S, C_S, ybar_S and q_S depend on the estimates, and
+:func:`fill_subset_table` writes them into arrays the caller gives it.
+
 C - B^2/A cancels catastrophically when the estimates share a large offset,
 so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
 1983, "Algorithms for computing the sample variance").  The table stores
@@ -37,12 +45,13 @@ import math
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ComputationError
+from .model import log_inv_beta_prior
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,106 @@ class SubsetTable:
     q: np.ndarray        # (2^L, R) q_S
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class VarianceTerms:
+    """What the grid analysis needs of the variances V and the grid alone.
+
+    Every array is read-only: one instance is shared by every analysis of
+    the same (V, grid) through :func:`variance_terms`.  Rows of ``a`` and
+    ``inv_a`` are subsets by bitmask; row 0 of ``inv_a`` is 0.
+    """
+
+    def __init__(self, v: np.ndarray, deltas2: np.ndarray):
+        d2 = deltas2[None, :]
+        vc = v[:, None]
+        self.deltas2 = deltas2
+        self.w = 1.0 / (d2 + vc)                      # (L, R)
+        self.a = np.zeros((1 << v.shape[0], deltas2.shape[0]))   # (2^L, R) A_S
+        for i in range(v.shape[0]):
+            lo = 1 << i
+            np.add(self.a[:lo], self.w[i], out=self.a[lo:2 * lo])
+        self.inv_a = np.zeros_like(self.a)            # (2^L, R) 1/A_S
+        np.divide(1.0, self.a[1:], out=self.inv_a[1:])
+        self.oml = vc / (d2 + vc)                     # (L, R) 1 - lam
+        self.lam = d2 / (d2 + vc)                     # (L, R) lam
+        self.within = d2 * self.oml                   # (L, R) delta2 (1 - lam)
+        _read_only(self.w, self.a, self.inv_a, self.oml, self.lam, self.within)
+
+    @cached_property
+    def log_cell(self) -> np.ndarray:
+        """(R,) 1/2 sum_i log(1 - lam_i) + log f(delta2): the V-only part of a cell's log weight.
+
+        Built on first read: it needs delta2 > 0, which the DPM's delta2 = 0
+        table never has.
+        """
+        out = 0.5 * np.log(self.oml).sum(axis=0) + log_inv_beta_prior(self.deltas2)
+        _read_only(out)
+        return out
+
+    @cached_property
+    def cdf_sd(self) -> np.ndarray:
+        """(L, 2^(L-1), R) sqrt(2 s^2) of the mixture component of source i in block S.
+
+        s^2 = delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S for the S in row i of
+        :func:`holders`; built on the first mixture CDF.
+        """
+        sd = self.a.take(holders(self.w.shape[0]), axis=0)
+        np.divide((2.0 * self.oml * self.oml)[:, None, :], sd, out=sd)
+        sd += (self.within * 2.0)[:, None, :]
+        np.sqrt(sd, out=sd)
+        _read_only(sd)
+        return sd
+
+
+@lru_cache(maxsize=4)   # bounded, like simulation._shared: one entry per (V, grid) in use
+def _cached_terms(v: bytes, deltas2: bytes) -> VarianceTerms:
+    return VarianceTerms(np.frombuffer(v), np.frombuffer(deltas2))
+
+
+def variance_terms(v: np.ndarray, deltas2: np.ndarray) -> VarianceTerms:
+    """The :class:`VarianceTerms` of these float64 V and delta2, built once and cached.
+
+    Keyed on the bytes of both arrays, so equal values share an entry
+    whichever arrays hold them.
+    """
+    as_bytes = (np.ascontiguousarray(x, dtype=np.float64).tobytes() for x in (v, deltas2))
+    return _cached_terms(*as_bytes)
+
+
+def fill_subset_table(y: np.ndarray, v: np.ndarray, terms: VarianceTerms,
+                      out: np.ndarray) -> SubsetTable:
+    """The subset table of estimates ``y``, written into ``out``, C-contiguous (3, 2^L, R).
+
+    ``out[0]`` and ``out[1]`` become the table's ``ybar`` and ``q``; B and C
+    are summed in them, one stacked addition per source, as
+    :class:`VarianceTerms` sums A.  ``out[2]`` is scratch and is left
+    holding garbage.  ``a`` is the read-only ``terms.a``.
+    """
+    L = y.shape[0]
+    shift = float((y / v).sum() / (1.0 / v).sum())
+    yc = y - shift
+    w = terms.w
+    sums, scratch = out[:2], out[2]
+    wy = scratch[:2 * L].reshape(2, L, -1)     # w y and w y^2 per source; 2L <= 2^L rows
+    np.multiply(w, yc[:, None], out=wy[0])
+    np.multiply(w, (yc * yc)[:, None], out=wy[1])
+    sums[:, 0] = 0.0
+    for i in range(L):
+        lo = 1 << i
+        np.add(sums[:, :lo], wy[:, i, None, :], out=sums[:, lo:2 * lo])
+    ybar, q = sums                 # B and C, overwritten in place below
+    a = terms.a
+    ybar[1:] /= a[1:]
+    b2a = np.multiply(ybar[1:], ybar[1:], out=scratch[1:])
+    b2a *= a[1:]
+    q[1:] -= b2a
+    return SubsetTable(deltas2=terms.deltas2, shift=shift, a=a, ybar=ybar, q=q)
+
+
 def subset_table(y, v, deltas2) -> SubsetTable:
     """Per-subset sums of the centred estimates on the delta2 grid.
 
@@ -68,19 +177,8 @@ def subset_table(y, v, deltas2) -> SubsetTable:
     sources 0..i-1 with i added, so one block addition per source builds
     all 2^L rows.
     """
-    L = y.shape[0]
-    shift = float((y / v).sum() / (1.0 / v).sum())
-    yc = y - shift
-    w = 1.0 / (deltas2[None, :] + v[:, None])               # (L, R)
-    terms = np.stack([w, w * yc[:, None], w * (yc * yc)[:, None]])  # (3, L, R)
-    sums = np.zeros((3, 1 << L, deltas2.shape[0]))
-    for i in range(L):
-        lo = 1 << i
-        np.add(sums[:, :lo], terms[:, i, None, :], out=sums[:, lo:2 * lo])
-    a, ybar, q = sums              # B and C, overwritten in place below
-    ybar[1:] /= a[1:]
-    q[1:] -= ybar[1:] * ybar[1:] * a[1:]
-    return SubsetTable(deltas2=deltas2, shift=shift, a=a, ybar=ybar, q=q)
+    out = np.empty((3, 1 << y.shape[0], deltas2.shape[0]))
+    return fill_subset_table(y, v, variance_terms(v, deltas2), out)
 
 
 def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
@@ -104,6 +202,14 @@ def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
 def membership(l: int) -> np.ndarray:
     """(L, 2^L) float 0/1 matrix, 1 where source i belongs to subset S (read-only)."""
     out = ((np.arange(1 << l) >> np.arange(l)[:, None]) & 1).astype(np.float64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def holders(l: int) -> np.ndarray:
+    """(L, 2^(L-1)) the subsets holding source i, ascending, in row i (read-only)."""
+    out = np.nonzero(membership(l))[1].reshape(l, -1)
     out.flags.writeable = False
     return out
 
@@ -171,9 +277,13 @@ def partition_sums(phi: np.ndarray) -> np.ndarray:
     each layer gathers its splits' block and rest rows and sums each U's
     2^(|U|-1) products.  Costs (3^L - 1)/2 products per grid point.
     """
+    return partition_sums_into(phi, np.empty_like(phi))
+
+
+def partition_sums_into(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`partition_sums` written into ``z``, of phi's shape; returns ``z``."""
     n_sub, r = phi.shape
     splits = subset_splits(n_sub.bit_length() - 1)
-    z = np.empty_like(phi)
     z[0] = 1.0
     widest = max(rows.stop - rows.start for _, rows in splits.layers)
     step = max(1, _SPLIT_CELLS // widest)

@@ -29,9 +29,9 @@ class SurveyData:
     labels : sequence of str
         Display names, one per source.
     y_hat : array-like
-        Point estimates, finite.
+        Point estimates, finite; copied and held read-only.
     v : array-like
-        Sampling variances, strictly positive.
+        Sampling variances, strictly positive; copied and held read-only.
     source_form : {"summary", "binomial"}
         The input form the estimates came from, echoed into reports.
     """
@@ -43,8 +43,11 @@ class SurveyData:
 
     def __init__(self, labels: Sequence[str], y_hat, v, source_form: str = "summary"):
         self.labels = tuple(str(s) for s in labels)
-        self.y_hat = np.asarray(y_hat, dtype=np.float64)
-        self.v = np.asarray(v, dtype=np.float64)
+        # own read-only copies: a caller's later writes must not reach built posteriors
+        self.y_hat = np.array(y_hat, dtype=np.float64)
+        self.v = np.array(v, dtype=np.float64)
+        self.y_hat.flags.writeable = False
+        self.v.flags.writeable = False
         self.source_form = source_form
         if source_form not in ("summary", "binomial"):
             raise DomainError(f"unknown source form {source_form!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .baselines import DpmConfig, _checked_dpm_inputs, _dpm_blocks
-from .grid import _TAILS, _holders
+from .grid import _TAILS
 from .model import SurveyData
 
 
@@ -159,7 +159,7 @@ def _summarize(cfg: DpmConfig, mix: _DpmMixture) -> DpmQuadrature:
     """
     w, mean, var = mix.mass, mix.mean, mix.var
     l = w.shape[0].bit_length() - 1
-    held = _holders(l)
+    held = kernels.holders(l)
     e1 = np.einsum("sc,sc->s", w, mean)[held].sum(axis=1)
     sd = np.sqrt([np.einsum("hc,hc->", w[rows], var[rows] + (mean[rows] - mu) ** 2)
                   for rows, mu in zip(held, e1)])

@@ -27,10 +27,13 @@ from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
 #: multiples of this constant.
 DELTA_STEP = 0.0193
 
-#: Fewest replicates a pool worker is started for.  On a 2-vCPU host a
-#: two-worker pool costs 0.1-0.15 s more to start and join than a serial
-#: run, and an R = 2000 replicate about 2 ms, so two workers first beat one
-#: at 100-150 replicates.
+#: Fewest replicates a pool worker is started for.  On a 2-vCPU host an
+#: R = 2000 replicate takes about 1.2 ms in `uncpool simulate` and a
+#: two-worker pool about 0.05 s more to start and join than a serial run:
+#: whole runs took 0.40 s serial against 0.40 s on two workers at 100
+#: replicates, 0.49 against 0.45 s at 150 and 0.66 against 0.56 s at 300
+#: (medians of 5-6 alternating runs).  So two workers first beat one at
+#: 100-150 replicates, and start from 128.
 MIN_REPS_PER_WORKER = 64
 
 

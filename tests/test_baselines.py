@@ -8,7 +8,7 @@ from uncpool import (DomainError, DpmConfig, DpmDraws, SurveyData, build_grid, c
                      dpm_exact, dpm_gibbs, dpm_partition_prior, dpm_quadrature,
                      enumerate_partitions, evaluate_joint, kernels, marginal_delta2, pool_all)
 from uncpool.baselines import _dpm_blocks
-from uncpool.grid import _holders
+from uncpool.kernels import holders
 from uncpool.quadrature import DPM_NODES, _dpm_mixture, _summarize
 
 from conftest import make_dixie, make_orange
@@ -286,7 +286,7 @@ def test_dpm_quadrature_endpoints_solve_the_unpruned_mixture():
         mix = _dpm_mixture(data, DpmConfig(), DPM_NODES, 1.0)
         assert np.allclose(kernels.membership(data.l) @ mix.mass.sum(axis=1), 1.0,
                            rtol=0, atol=1e-13)     # each source's mixture weights sum to 1
-        for i, rows in enumerate(_holders(data.l)):
+        for i, rows in enumerate(holders(data.l)):
             w = mix.mass[rows].ravel().tolist()
             m = mix.mean[rows].ravel().tolist()
             s = np.sqrt(mix.var[rows]).ravel().tolist()

@@ -8,10 +8,11 @@ from uncpool import (ComputationError, DomainError, JointGridPosterior, Partitio
                      SurveyData, build_grid, conditional_moments, enumerate_partitions,
                      evaluate_joint, exact_mixture_moments, log_joint_kernel,
                      marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu, summarize)
-from uncpool import grid
+from uncpool import grid, kernels
 from uncpool.grid import (PosteriorDraws, _draw_mu_for_partition, covers95, interval95,
                           mixture_cdf)
-from uncpool.kernels import SubsetTable, partition_sums, q_matrix, subset_table
+from uncpool.kernels import (SubsetTable, partition_sums, q_matrix, subset_table,
+                             variance_terms)
 
 from conftest import make_dixie
 
@@ -89,8 +90,12 @@ def test_uniform_mass_gives_uniform_marginal():
     z = partition_sums(phi)
     assert z[-1] == pytest.approx([5 * math.exp(-1.5)] * 8, rel=1e-15)
     log_cell = np.full(8, -math.log(8 * 5 * math.exp(-1.5)))
+    p = np.full(8, 1 / 8)
+    v = np.ones(3)              # the terms are not read here; the table is not built from them
     jp = JointGridPosterior(grid=grid, space=space, table=table, log_evidence=0.0, phi=phi,
-                            z=z, log_cell=log_cell, delta2_probs=np.full(8, 1 / 8))
+                            z=z, block_mass=phi * z[::-1] * (p / z[-1]), log_cell=log_cell,
+                            delta2_probs=p, y_hat=np.zeros(3), v=v,
+                            terms=variance_terms(v, grid.deltas2))
     assert marginal_g(jp) == pytest.approx([0.2] * 5, abs=1e-12)
     assert marginal_delta2(jp) == pytest.approx([1 / 8] * 8, abs=1e-12)
     assert np.exp(jp.log_mass).sum(axis=1) == pytest.approx([0.2] * 5, abs=1e-12)
@@ -361,6 +366,56 @@ def test_posterior_for_another_l_is_refused():
     for call in calls:
         with pytest.raises(DomainError, match="data has L=4 but the posterior was built for L=3"):
             call()
+
+
+@pytest.mark.parametrize("shift_y, scale_v, differ", [
+    (5.0, 1.0, "estimates"), (0.0, 2.0, "variances"), (5.0, 2.0, "estimates and variances")])
+def test_posterior_built_from_other_data_is_refused(shift_y, scale_v, differ):
+    # the consumers read the V-only terms and the table from jp, so other data
+    # of the same L would silently mix two data sets
+    built = SurveyData(["a", "b", "c"], [0.25, 0.36, 0.36], [0.014 ** 2, 0.028 ** 2, 0.028 ** 2])
+    jp = evaluate_joint(built, enumerate_partitions(3), build_grid(40))
+    data = SurveyData(built.labels, built.y_hat + shift_y, built.v * scale_v)
+    draws = PosteriorDraws(b=2, mu=np.zeros((2, 3)), g_indices=np.zeros(2, dtype=np.int64),
+                           delta2_values=jp.grid.deltas2[:2], seed=0)
+    calls = [lambda: sample_mu(data, jp, 10, seed=0),
+             lambda: summarize(data, jp, draws),
+             lambda: exact_mixture_moments(data, jp),
+             lambda: mixture_cdf(data, jp, np.zeros(3)),
+             lambda: covers95(data, jp, np.zeros(3)),
+             lambda: pool_all(data, jp.grid, b=10, jp=jp)]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"built from other {differ} than these data"):
+            call()
+    same = SurveyData(built.labels, built.y_hat.copy(), built.v.copy())   # equal values pass
+    assert np.array_equal(exact_mixture_moments(same, jp)[0],
+                          exact_mixture_moments(built, jp)[0])
+
+
+def test_posterior_rows_share_one_allocation(dixie_panel1):
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(50))
+    rows = [jp.table.ybar, jp.table.q, jp.phi, jp.z, jp.block_mass]
+    block = jp.phi.base
+    assert block.shape == (5, 8, 50)
+    for i, a in enumerate(rows):
+        assert a.shape == (8, 50) and a.base is block and np.shares_memory(a, block)
+        assert not any(np.shares_memory(a, b) for b in rows[i + 1:])   # disjoint rows
+
+
+def test_cold_and_warm_cache_posteriors_are_bit_identical():
+    data = small_data(np.random.default_rng(17), 4)
+    space, g = enumerate_partitions(4), build_grid(300)
+    kernels._cached_terms.cache_clear()
+    cold = evaluate_joint(data, space, g)
+    cold_out = (exact_mixture_moments(data, cold), mixture_cdf(data, cold, data.y_hat))
+    warm = evaluate_joint(data, space, g)
+    assert warm.terms is cold.terms
+    for name in ("phi", "z", "block_mass", "delta2_probs", "log_cell"):
+        assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
+    assert cold.log_evidence == warm.log_evidence
+    warm_out = (exact_mixture_moments(data, warm), mixture_cdf(data, warm, data.y_hat))
+    assert all(np.array_equal(a, b) for a, b in zip(cold_out[0], warm_out[0]))
+    assert np.array_equal(cold_out[1], warm_out[1])
 
 
 @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (15,)])

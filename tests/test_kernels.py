@@ -24,6 +24,45 @@ def instance(rng, l, r):
     return y, v, d2, space
 
 
+TERM_ARRAYS = ("w", "a", "inv_a", "oml", "lam", "within", "log_cell", "cdf_sd")
+
+
+@pytest.mark.parametrize("name", TERM_ARRAYS)
+def test_cached_variance_terms_are_read_only(name):
+    _, v, d2, _ = instance(np.random.default_rng(3), 3, 16)
+    arr = getattr(kernels.variance_terms(v, d2), name)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        arr *= 2.0
+
+
+def test_variance_terms_are_cached_by_value_and_bounded():
+    _, v, d2, _ = instance(np.random.default_rng(4), 3, 16)
+    terms = kernels.variance_terms(v, d2)
+    assert kernels.variance_terms(v.copy(), d2.copy()) is terms     # keyed on the values
+    assert kernels.variance_terms(v * 2.0, d2) is not terms
+    assert kernels.variance_terms(v, d2 * 2.0) is not terms
+    for k in range(10):
+        kernels.variance_terms(v + k, d2)
+    info = kernels._cached_terms.cache_info()
+    assert info.maxsize == 4 and info.currsize <= 4
+
+
+def test_variance_terms_match_their_formulas():
+    y, v, d2, _ = instance(np.random.default_rng(5), 4, 30)
+    terms = kernels.variance_terms(v, d2)
+    w = 1.0 / (d2[None, :] + v[:, None])
+    assert np.array_equal(terms.w, w)
+    assert np.allclose(terms.lam + terms.oml, 1.0, rtol=0, atol=1e-15)
+    member = kernels.membership(4)
+    assert np.allclose(terms.a, member.T @ w, rtol=1e-14, atol=0)
+    assert np.array_equal(terms.inv_a[1:], 1.0 / terms.a[1:]) and not terms.inv_a[0].any()
+    s2 = terms.within[:, None, :] + terms.oml[:, None, :] ** 2 / terms.a[kernels.holders(4)]
+    assert np.allclose(terms.cdf_sd, np.sqrt(2.0 * s2), rtol=1e-15, atol=0)
+    assert np.array_equal(subset_table(y, v, d2).a, terms.a)
+
+
 @pytest.mark.parametrize("l", [2, 3, 5, 8])
 def test_subset_factorization_matches_direct(l):
     # summing clusters' subset rows reproduces the scalar per-cluster misfit

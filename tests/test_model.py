@@ -25,6 +25,21 @@ def test_survey_data_equality():
     assert a != "a"
 
 
+def test_survey_data_owns_its_arrays():
+    y, v = np.array([0.2, 0.5]), np.array([0.01, 0.02])
+    data = SurveyData(["a", "b"], y, v)
+    y[0], v[0] = 9.0, 9.0                # the caller's arrays, written after the fact
+    assert data.y_hat.tolist() == [0.2, 0.5]
+    assert data.v.tolist() == [0.01, 0.02]
+
+
+@pytest.mark.parametrize("field", ["y_hat", "v"])
+def test_survey_data_arrays_are_read_only(field):
+    data = SurveyData(["a", "b"], [0.2, 0.5], [0.01, 0.02])
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(data, field)[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # shrinkage and cluster statistics
 # ---------------------------------------------------------------------------

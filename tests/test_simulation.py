@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ def test_replicates_rarely_sum_the_full_cdf(monkeypatch):
     for s in ACCEPTANCE_SCENARIOS:
         run_scenario(s)
     assert 100 * len(calls) <= 3 * 60
+
+
+def test_replicate_allocates_one_posterior_block():
+    # with the posterior in a dozen separate arrays and the V-only terms rebuilt
+    # in every replicate, the peak was 1286 KB at R = 2000; one block and the
+    # cached terms give 1067 KB (numpy 2.4).  The bound sits between the two.
+    s = SimScenario(reps=3, r=2000, base_seed=3)
+    _run_replicate(s, 0)                           # build the shared and cached terms
+    tracemalloc.start()
+    try:
+        _run_replicate(s, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1176 * 1024
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
