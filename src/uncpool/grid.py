@@ -124,15 +124,15 @@ def _solve(data: SurveyData, grid: DeltaGrid) -> dict:
     written in place; phi's row serves as scratch until it is filled.
     """
     y, v, d2 = data.y_hat, data.v, grid.deltas2
-    terms = kernels.variance_terms(v, d2)
     block = np.empty((5, 1 << data.l, grid.r))
     _, q, phi, z, w = block
-    table = kernels.fill_subset_table(y, v, terms, block[:3])
+    table = kernels.subset_table(y, v, d2, out=block[:3])
+    terms = kernels.variance_terms(v, d2)
     np.multiply(q, -0.5, out=phi)
     phi -= 0.5
     np.exp(phi, out=phi)
     phi[0] = 0.0
-    kernels.partition_sums_into(phi, z)
+    kernels.partition_sums(phi, out=z)
     log_cell = terms.log_cell + grid.log_prior_mass - math.log(bell_number(data.l))
     log_w = log_cell + np.log(z[-1])
     if not np.all(np.isfinite(log_w)):
@@ -188,34 +188,33 @@ class PosteriorDraws:
     seed: int
 
 
-def _draw_mu(data: SurveyData, table: kernels.SubsetTable, members: np.ndarray,
-             slots: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draw_mu(data: SurveyData, table: kernels.SubsetTable, terms: kernels.VarianceTerms,
+             members: np.ndarray, slots: np.ndarray, cols: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
     """Draw mu at given (partition, grid point) pairs, one row per entry of ``cols``.
 
     ``members`` (n, L) holds the subset bitmask of each source's cluster,
     ``slots`` (n, L) that cluster's label (its growth-string value), and
-    ``cols`` (n,) the table column.  Two-stage ancestral scheme: per
-    cluster, draw the cluster mean nu_k ~ N(ybar_k, delta2 / sum(lam)) =
-    N(ybar_k, 1 / A_k), then each member mu_i ~ N(lam_i y_i + (1 - lam_i)
-    nu_k, lam_i V_i) independently.  The identity lam_i V_i = delta2
-    (1 - lam_i) makes the resulting mean and covariance match the
-    closed-form conditional moments exactly.
+    ``cols`` (n,) the table column; ``terms`` are the table's
+    :class:`kernels.VarianceTerms`.  Two-stage ancestral scheme: per
+    cluster S, draw the cluster mean nu_S ~ N(ybar_S, 1 / A_S), then each
+    member mu_i = y_i + (1 - lam_i)(nu_S - y_i) plus an independent
+    N(0, delta2 (1 - lam_i)), the conditional posterior of
+    :func:`exact_mixture_moments`.
     """
-    # Per-cell factors are formed once per column, then gathered; the (n, L)
-    # work is done in place, because those temporaries set a small run's peak.
+    # The (n, L) work is done in place, because those temporaries set a small
+    # run's peak; per-cell factors are gathered from (R, L) views.
     n, l = slots.shape
-    d2 = table.deltas2[:, None]
-    oml = data.v / (d2 + data.v)                               # (R, L) 1 - lam
     flat = members * table.a.shape[1] + cols[:, None]          # cluster's table entry
     nu = rng.standard_normal((n, l)).take(slots + np.arange(0, n * l, l)[:, None])
     nu /= np.sqrt(table.a.take(flat))
     nu += table.ybar.take(flat)
-    nu *= oml.take(cols, axis=0)
+    nu -= data.y_hat - table.shift                             # nu_S - y_i
+    nu *= terms.oml.T.take(cols, axis=0)
     mu = rng.standard_normal(slots.shape)
-    mu *= np.sqrt(d2 * oml).take(cols, axis=0)
+    mu *= np.sqrt(terms.within.T).take(cols, axis=0)
     mu += nu
-    mu += (d2 / (d2 + data.v) * (data.y_hat - table.shift)).take(cols, axis=0)
-    mu += table.shift
+    mu += data.y_hat
     return mu
 
 
@@ -231,7 +230,8 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
     a = np.array(p.assignment)
     members = (a[:, None] == a[None, :]) @ (1 << np.arange(p.l))   # source i's cluster
     shape = (delta2.shape[0], p.l)
-    return _draw_mu(data, table, np.broadcast_to(members, shape),
+    return _draw_mu(data, table, kernels.variance_terms(data.v, d2),
+                    np.broadcast_to(members, shape),
                     np.broadcast_to(p.assignment, shape), cols, rng)
 
 
@@ -338,7 +338,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     first, j_idx = np.divmod(cells, r)
     first = 2 * first + 1
     g_idx = jp.space.index_of_codes(_peel(jp, first, j_idx, rng))
-    mu = _draw_mu(data, jp.table, jp.space.member_masks.take(g_idx, axis=0),
+    mu = _draw_mu(data, jp.table, jp.terms, jp.space.member_masks.take(g_idx, axis=0),
                   jp.space.assignment_array.take(g_idx, axis=0), j_idx, rng)
     return PosteriorDraws(
         b=b,
@@ -349,43 +349,33 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     )
 
 
-def _source_terms(jp: JointGridPosterior,
-                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, cells) lam_i (y_i - shift), 1 - lam_i and delta2 (1 - lam_i) on grid cells [0, stop).
-
-    Given its block S and the cell, source i is normal with mean
-    lam_i y_i + (1 - lam_i) ybar_S, which is shift + own + oml ybar_S in the
-    table's centred terms, and variance delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S,
-    which is within + oml^2 / A_S.  Every cell without ``stop``.  ``own``
-    is a new array; the other two are read-only views of ``jp.terms``.
-    """
-    terms = jp.terms
-    own = terms.lam[:, :stop] * (jp.y_hat - jp.table.shift)[:, None]
-    return own, terms.oml[:, :stop], terms.within[:, :stop]
-
-
 def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic posterior mean and SD of each mu_i from the block masses.
 
-    Summing W[S, j] over the blocks S holding i mixes the conditional
-    moments of :func:`_source_terms` exactly, with no partition axis and no
-    Monte Carlo error; variances follow the law of total variance.
-    Moments are formed about the table's shift, so E[x^2] - E[x]^2 does
-    not cancel for offset data.
+    Given its block S and cell j, mu_i = y_i + (1 - lam_i)(nu_S - y_i) plus
+    an independent N(0, delta2 (1 - lam_i)), with nu_S ~ N(ybar_S, 1/A_S).
+    Summing W[S, j] over the blocks S holding i mixes these exactly, with
+    no partition axis and no Monte Carlo error; variances follow the law of
+    total variance.  Moments are formed about each source's own estimate,
+    so every term that can be large carries 1 - lam_i: E[x^2] - E[x]^2
+    cancels neither for offset data nor for sources whose SE is tiny
+    against the spread of the estimates, where 1 - lam_i is tiny too.
     """
     _check_sources(data, jp)
-    t, p = jp.table, jp.delta2_probs
+    t, p, terms = jp.table, jp.delta2_probs, jp.terms
     member = kernels.membership(data.l)                      # (L, 2^L)
     w = jp.block_mass
     nu2 = t.ybar * t.ybar                                     # E[nu_S^2 | cell]
-    nu2[1:] += jp.terms.inv_a[1:]
+    nu2[1:] += terms.inv_a[1:]
     nu2 *= w
     m1 = np.einsum("is,sr->ir", member, w * t.ybar)            # (L, R)
     m2 = np.einsum("is,sr->ir", member, nu2)
-    own, oml, within = _source_terms(jp)
-    e1 = (own * p + oml * m1).sum(axis=1)
-    e2 = (p * (within + own * own) + 2.0 * own * oml * m1 + oml * oml * m2).sum(axis=1)
-    return t.shift + e1, np.sqrt(e2 - e1 * e1)
+    c = (data.y_hat - t.shift)[:, None]                        # y_i in the table's terms
+    d1 = m1 - c * p                                           # sum_S W (nu_S - y_i)
+    m2 -= c * (m1 + d1)                                       # sum_S W (nu_S - y_i)^2
+    e1 = (terms.oml * d1).sum(axis=1)                         # E[mu_i - y_i]
+    e2 = (p * terms.within + terms.oml * terms.oml * m2).sum(axis=1)
+    return data.y_hat + e1, np.sqrt(e2 - e1 * e1)
 
 
 #: Most float64 values each array of one :func:`mixture_cdf` column block
@@ -427,18 +417,19 @@ def _checked_point(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
 
 def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int) -> np.ndarray:
     """(L,) the sum of :func:`mixture_cdf` over the cells [0, stop) only."""
-    t, w = jp.table, jp.block_mass
-    own, oml, _ = _source_terms(jp, stop)
-    own -= (x - t.shift)[:, None]
-    sd = jp.terms.cdf_sd                                   # sqrt(2 s^2)
+    t, w, terms = jp.table, jp.block_mass, jp.terms
+    c = (data.y_hat - t.shift)[:, None, None]               # y_i in the table's terms
+    gap = (data.y_hat - x)[:, None, None]
+    sd = terms.cdf_sd                                       # sqrt(2 s^2)
     held = kernels.holders(data.l)
     total = np.zeros(data.l)
     step = max(1, _CDF_CELLS // held.size)
-    for c in range(0, stop, step):
-        cols = slice(c, min(c + step, stop))
-        arg = t.ybar[:, cols].take(held, axis=0)          # (L, H, cells), then (m - x)
-        arg *= oml[:, None, cols]
-        arg += own[:, None, cols]
+    for c0 in range(0, stop, step):
+        cols = slice(c0, min(c0 + step, stop))
+        arg = t.ybar[:, cols].take(held, axis=0)          # (L, H, cells), then (m - x) / sd
+        arg -= c
+        arg *= terms.oml[:, None, cols]
+        arg += gap
         arg /= sd[:, :, cols]
         total += np.einsum("lhr,lhr->l", w[:, cols].take(held, axis=0), kernels.erfc(arg))
     total *= 0.5
@@ -449,13 +440,16 @@ def mixture_cdf(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
     """(L,) posterior probability that mu_i <= x_i, for every source i.
 
     mu_i's posterior is a finite normal mixture: one component per block
-    S holding i and cell j, with weight W[S, j] and the moments of
-    :func:`_source_terms`.  So F_i(x_i) is exactly
+    S holding i and cell j, with weight W[S, j], mean
+    m = y_i + (1 - lam_i)(ybar_S - y_i) and variance
+    s^2 = delta2 (1 - lam_i) + (1 - lam_i)^2 / A_S, as in
+    :func:`exact_mixture_moments`.  So F_i(x_i) is exactly
     1/2 sum W[S, j] erfc((m - x_i) / sqrt(2 s^2)), summed over
     (L, 2^(L-1), cells) arrays, a block of cells at a time, with no draws.
-    Means are differenced from x about the table's shift, so offset data
-    lose no digits.  :func:`covers95` decides interval coverage from a
-    prefix of the cells and calls this only when the prefix cannot.
+    m - x_i is formed as (1 - lam_i)(ybar_S - y_i) + (y_i - x_i), so
+    offset data and precise sources lose no digits.  :func:`covers95`
+    decides interval coverage from a prefix of the cells and calls this
+    only when the prefix cannot.
     """
     x = _checked_point(data, jp, x)
     return _cdf_sum(data, jp, x, jp.grid.r)

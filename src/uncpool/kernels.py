@@ -14,13 +14,14 @@ the posterior draws, complete pooling and the exact DPM oracle all read that
 one table; ``model.py`` keeps the scalar per-cluster formulas as the
 reference.
 
-The table's work splits in two.  w, A_S, 1/A_S, the shrinkage factors
-lam_i = delta2/(delta2 + V_i) and 1 - lam_i, and the CDF component SDs
-depend on V and the grid alone: :func:`variance_terms` builds them once per
-(V, grid), keeps a few such sets in a cache and hands out read-only
-arrays, so the replicates of a simulation, which share V, build them once.
-B_S, C_S, ybar_S and q_S depend on the estimates, and
-:func:`fill_subset_table` writes them into arrays the caller gives it.
+The table's work splits in two.  w, A_S, 1/A_S, 1 - lam_i and
+delta2 (1 - lam_i), with the shrinkage factor lam_i = delta2/(delta2 + V_i),
+and the CDF component SDs depend on V and the grid alone:
+:func:`variance_terms` builds them once per (V, grid), keeps a few such
+sets in a cache and hands out read-only arrays, so the replicates of a
+simulation, which share V, build them once.  B_S, C_S, ybar_S and q_S
+depend on the estimates, and :func:`subset_table` can write them into
+arrays the caller gives it.
 
 C - B^2/A cancels catastrophically when the estimates share a large offset,
 so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
@@ -95,9 +96,8 @@ class VarianceTerms:
         self.inv_a = np.zeros_like(self.a)            # (2^L, R) 1/A_S
         np.divide(1.0, self.a[1:], out=self.inv_a[1:])
         self.oml = vc / (d2 + vc)                     # (L, R) 1 - lam
-        self.lam = d2 / (d2 + vc)                     # (L, R) lam
         self.within = d2 * self.oml                   # (L, R) delta2 (1 - lam)
-        _read_only(self.w, self.a, self.inv_a, self.oml, self.lam, self.within)
+        _read_only(self.w, self.a, self.inv_a, self.oml, self.within)
 
     @cached_property
     def log_cell(self) -> np.ndarray:
@@ -140,16 +140,21 @@ def variance_terms(v: np.ndarray, deltas2: np.ndarray) -> VarianceTerms:
     return _cached_terms(*as_bytes)
 
 
-def fill_subset_table(y: np.ndarray, v: np.ndarray, terms: VarianceTerms,
-                      out: np.ndarray) -> SubsetTable:
-    """The subset table of estimates ``y``, written into ``out``, C-contiguous (3, 2^L, R).
+def subset_table(y, v, deltas2, out=None) -> SubsetTable:
+    """Per-subset sums of the centred estimates on the delta2 grid.
 
-    ``out[0]`` and ``out[1]`` become the table's ``ybar`` and ``q``; B and C
-    are summed in them, one stacked addition per source, as
-    :class:`VarianceTerms` sums A.  ``out[2]`` is scratch and is left
-    holding garbage.  ``a`` is the read-only ``terms.a``.
+    The subsets holding source i as their highest member are the subsets of
+    sources 0..i-1 with i added, so one block addition per source builds
+    all 2^L rows; B and C are summed that way, as :class:`VarianceTerms`
+    sums A.  ``out``, if given, is a C-contiguous (3, 2^L, R) array:
+    ``out[0]`` and ``out[1]`` become the table's ``ybar`` and ``q``, and
+    ``out[2]`` is scratch, left holding garbage.  ``a`` is the read-only
+    ``variance_terms(v, deltas2).a``.
     """
     L = y.shape[0]
+    terms = variance_terms(v, deltas2)
+    if out is None:
+        out = np.empty((3, 1 << L, deltas2.shape[0]))
     shift = float((y / v).sum() / (1.0 / v).sum())
     yc = y - shift
     w = terms.w
@@ -168,17 +173,6 @@ def fill_subset_table(y: np.ndarray, v: np.ndarray, terms: VarianceTerms,
     b2a *= a[1:]
     q[1:] -= b2a
     return SubsetTable(deltas2=terms.deltas2, shift=shift, a=a, ybar=ybar, q=q)
-
-
-def subset_table(y, v, deltas2) -> SubsetTable:
-    """Per-subset sums of the centred estimates on the delta2 grid.
-
-    The subsets holding source i as their highest member are the subsets of
-    sources 0..i-1 with i added, so one block addition per source builds
-    all 2^L rows.
-    """
-    out = np.empty((3, 1 << y.shape[0], deltas2.shape[0]))
-    return fill_subset_table(y, v, variance_terms(v, deltas2), out)
 
 
 def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
@@ -268,7 +262,34 @@ def subset_splits(l: int) -> SubsetSplits:
 _SPLIT_CELLS = 1 << 22
 
 
-def partition_sums(phi: np.ndarray) -> np.ndarray:
+def _split_layers(src: np.ndarray, out: np.ndarray):
+    """Walk the recursion of :func:`partition_sums` over ``src``, filling ``out``.
+
+    Per column block and |U| layer, singletons are copied from ``src``
+    (Z({i}) = phi({i})); every other layer yields ``(us, block, rest, s, o)``:
+    the layer's subsets U, their splits' blocks T and rests U - T, and the
+    column block of ``src`` and of ``out``.  The caller fills rows ``us``
+    of ``o`` from rows ``block`` of ``s`` and rows ``rest`` of ``o`` before
+    asking for the next layer.  Row 0 of neither array is touched.  It
+    yields row indices, not gathered rows, so that one layer's gathered
+    arrays are freed before the next layer's are made: at L = 8, R = 200,
+    where each is 1.4 MB, holding two layers' at once made
+    :func:`partition_sums` about 50% slower.
+    """
+    n_sub, r = src.shape
+    splits = subset_splits(n_sub.bit_length() - 1)
+    widest = max(rows.stop - rows.start for _, rows in splits.layers)
+    step = max(1, _SPLIT_CELLS // widest)
+    for c0 in range(0, r, step):
+        s, o = src[:, c0:c0 + step], out[:, c0:c0 + step]   # views of one column block
+        for us, rows in splits.layers:
+            if us.shape[0] == rows.stop - rows.start:    # singletons
+                o[us] = s[us]
+                continue
+            yield us, splits.block[rows], splits.rest[rows], s, o
+
+
+def partition_sums(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(2^L, R) sums over the partitions of every subset U of products of phi.
 
     Z(empty) = 1 and Z(U, j) = sum over T in U holding min U of
@@ -276,26 +297,14 @@ def partition_sums(phi: np.ndarray) -> np.ndarray:
     of the product of phi over their blocks.  Built layer by layer in |U|:
     each layer gathers its splits' block and rest rows and sums each U's
     2^(|U|-1) products.  Costs (3^L - 1)/2 products per grid point.
+    Written into ``out``, of phi's shape, when it is given.
     """
-    return partition_sums_into(phi, np.empty_like(phi))
-
-
-def partition_sums_into(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """:func:`partition_sums` written into ``z``, of phi's shape; returns ``z``."""
-    n_sub, r = phi.shape
-    splits = subset_splits(n_sub.bit_length() - 1)
+    z = np.empty_like(phi) if out is None else out
     z[0] = 1.0
-    widest = max(rows.stop - rows.start for _, rows in splits.layers)
-    step = max(1, _SPLIT_CELLS // widest)
-    for c0 in range(0, r, step):
-        ph, zc = phi[:, c0:c0 + step], z[:, c0:c0 + step]   # views of one column block
-        for us, rows in splits.layers:
-            if us.shape[0] == rows.stop - rows.start:    # singletons: Z({i}) = phi({i})
-                zc[us] = ph[us]
-                continue
-            prod = ph.take(splits.block[rows], axis=0)
-            prod *= zc.take(splits.rest[rows], axis=0)
-            zc[us] = prod.reshape(us.shape[0], -1, prod.shape[1]).sum(axis=1)
+    for us, block, rest, ph, zc in _split_layers(phi, z):
+        prod = ph.take(block, axis=0)
+        prod *= zc.take(rest, axis=0)
+        zc[us] = prod.reshape(us.shape[0], -1, prod.shape[1]).sum(axis=1)
     return z
 
 
@@ -308,28 +317,19 @@ def log_partition_sums(log_phi: np.ndarray) -> np.ndarray:
     underflow, however far apart the scores of two partitions are.  Row 0
     of ``log_phi`` (the empty set, never a block) is not read.
     """
-    n_sub, c = log_phi.shape
-    splits = subset_splits(n_sub.bit_length() - 1)
     lz = np.empty_like(log_phi)
     lz[0] = 0.0
-    widest = max(rows.stop - rows.start for _, rows in splits.layers)
-    step = max(1, _SPLIT_CELLS // widest)
-    for c0 in range(0, c, step):
-        lp, lzc = log_phi[:, c0:c0 + step], lz[:, c0:c0 + step]
-        for us, rows in splits.layers:
-            if us.shape[0] == rows.stop - rows.start:    # singletons: Z({i}) = phi({i})
-                lzc[us] = lp[us]
-                continue
-            terms = lp.take(splits.block[rows], axis=0)
-            terms += lzc.take(splits.rest[rows], axis=0)
-            terms = terms.reshape(us.shape[0], -1, terms.shape[1])
-            top = terms.max(axis=1)
-            terms -= top[:, None]
-            np.exp(terms, out=terms)
-            total = terms.sum(axis=1)
-            np.log(total, out=total)
-            total += top
-            lzc[us] = total
+    for us, block, rest, lp, lzc in _split_layers(log_phi, lz):
+        terms = lp.take(block, axis=0)
+        terms += lzc.take(rest, axis=0)
+        terms = terms.reshape(us.shape[0], -1, terms.shape[1])
+        top = terms.max(axis=1)
+        terms -= top[:, None]
+        np.exp(terms, out=terms)
+        total = terms.sum(axis=1)
+        np.log(total, out=total)
+        total += top
+        lzc[us] = total
     return lz
 
 

@@ -79,6 +79,17 @@ def test_pool_markdown_and_csv(dixie_file, capsys):
     assert "partition,label,prob" in csv_out
 
 
+def test_pool_report_of_precise_sources_has_no_nan(tmp_path):
+    f = tmp_path / "precise.csv"
+    f.write_text("label,estimate,se\na,0.30,1e-10\nb,0.31,1e-10\nc,0.20,0.02\n",
+                 encoding="utf-8")
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"r.{fmt}"
+        assert run_command(["pool", "--input", str(f), "--r", "2000", "--b", "500",
+                            "--format", fmt, "--output", str(out)]) == 0
+        assert "nan" not in out.read_text(encoding="utf-8").lower()
+
+
 def test_pool_all_command(dixie_file, tmp_path):
     out = tmp_path / "pa.json"
     assert run_command(["pool-all", "--input", str(dixie_file), "--r", "400",

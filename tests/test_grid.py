@@ -194,6 +194,51 @@ def test_moments_match_brute_force_mixture():
     assert np.max(np.abs(sd - np.sqrt(e2 - e1 ** 2))) < 1e-12
 
 
+def precise_data(se):
+    """Two sources at 0.30 and 0.31 with SE ``se``, a third at 0.20 with SE 0.02."""
+    return SurveyData(("a", "b", "c"), [0.30, 0.31, 0.20], np.array([se, se, 0.02]) ** 2)
+
+
+def _centred_moments(data, jp):
+    """Mean and SD of each mu_i's mixture, in two passes over its (block, cell) components.
+
+    Component means are differenced from y_i before they are squared, so
+    no large terms cancel.
+    """
+    t, d2 = jp.table, jp.grid.deltas2
+    mean, sd = np.empty(data.l), np.empty(data.l)
+    for i, held in enumerate(kernels.holders(data.l)):
+        oml = data.v[i] / (d2 + data.v[i])
+        w = jp.block_mass[held]
+        dev = oml * (t.ybar[held] - (data.y_hat[i] - t.shift))     # component mean - y_i
+        s2 = d2 * oml + oml * oml / t.a[held]
+        e = (w * dev).sum()
+        mean[i] = data.y_hat[i] + e
+        sd[i] = math.sqrt((w * (s2 + (dev - e) ** 2)).sum())
+    return mean, sd
+
+
+@pytest.mark.parametrize("se", [1e-8, 1e-9, 1e-10])
+def test_moments_of_precise_sources_match_a_centred_reference(se):
+    data = precise_data(se)
+    jp = evaluate_joint(data, enumerate_partitions(3), build_grid(2000))
+    mean, sd = exact_mixture_moments(data, jp)
+    want_mean, want_sd = _centred_moments(data, jp)
+    assert np.all(np.abs(mean - want_mean) <= 1e-12 * np.abs(want_mean))
+    assert np.all(np.abs(sd - want_sd) <= 1e-12 * want_sd)
+
+
+@pytest.mark.parametrize("se", [1e-8, 1e-9, 1e-10])
+def test_mixture_cdf_of_precise_sources_is_a_cdf(se):
+    data = precise_data(se)
+    jp = evaluate_joint(data, enumerate_partitions(3), build_grid(2000))
+    mean, sd = _centred_moments(data, jp)
+    cdf = np.array([mixture_cdf(data, jp, mean + k * sd) for k in np.linspace(-6.0, 6.0, 121)])
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+    assert np.all(np.diff(cdf, axis=0) >= 0.0)
+    assert np.all(cdf[0] < 0.05) and np.all(cdf[-1] > 0.95)
+
+
 @pytest.mark.parametrize("shift", [1e3, 1e6])
 def test_translation_invariance(dixie_panel1, shift):
     # adding a constant to every estimate moves only the means, by the constant

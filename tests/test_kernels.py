@@ -24,7 +24,7 @@ def instance(rng, l, r):
     return y, v, d2, space
 
 
-TERM_ARRAYS = ("w", "a", "inv_a", "oml", "lam", "within", "log_cell", "cdf_sd")
+TERM_ARRAYS = ("w", "a", "inv_a", "oml", "within", "log_cell", "cdf_sd")
 
 
 @pytest.mark.parametrize("name", TERM_ARRAYS)
@@ -54,7 +54,7 @@ def test_variance_terms_match_their_formulas():
     terms = kernels.variance_terms(v, d2)
     w = 1.0 / (d2[None, :] + v[:, None])
     assert np.array_equal(terms.w, w)
-    assert np.allclose(terms.lam + terms.oml, 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(terms.oml, v[:, None] * w, rtol=1e-15, atol=0)       # 1 - lam
     member = kernels.membership(4)
     assert np.allclose(terms.a, member.T @ w, rtol=1e-14, atol=0)
     assert np.array_equal(terms.inv_a[1:], 1.0 / terms.a[1:]) and not terms.inv_a[0].any()

@@ -91,6 +91,13 @@ def test_partition_sums_in_column_blocks(monkeypatch):
     assert partition_sums(phi) == pytest.approx(whole, rel=1e-15)
 
 
+def test_log_partition_sums_in_column_blocks(monkeypatch):
+    log_phi = np.random.default_rng(1).uniform(-800.0, 800.0, size=(1 << 6, 11))
+    whole = kernels.log_partition_sums(log_phi)
+    monkeypatch.setattr(kernels, "_SPLIT_CELLS", 300)   # forces blocks of 2 columns
+    assert np.array_equal(kernels.log_partition_sums(log_phi), whole)
+
+
 @pytest.mark.parametrize("l", range(1, 11))
 def test_recursion_matches_lattice(l):
     rng = np.random.default_rng(100 + l)
