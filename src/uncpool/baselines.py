@@ -2,7 +2,12 @@
 
 The pool-all posterior summarizes the common mean nu of the single-cluster
 model.  The DPM baseline clusters sources through a Dirichlet process prior
-on their means.  At fixed base parameters (eta, tau2) it is a product
+on their means, with base parameters eta ~ N(eta_b, s_b) and tau2 ~
+IG(phi1/2, phi2/2).  The four hyperpriors come from the data and cannot be
+set (:func:`_dpm_hyperpriors`): eta_b is the precision-weighted mean of the
+estimates, s_b their squared range, phi1 = 2 and phi2 twice their sample
+variance; s_b and phi2 are the mean V where those are 0 or undefined
+(L = 1).  At fixed base parameters (eta, tau2) the DPM is a product
 partition model, whose block scores :func:`_dpm_blocks` gives.  The
 ``dpm`` command reports the posterior by quadrature over (eta, log tau2)
 (``quadrature.dpm_quadrature``) up to DPM_QUADRATURE_MAX_L sources, and
@@ -58,15 +63,15 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
         raise DomainError(f"draw count must be >= 1, got {b}")
     if jp is None:
         solved = _solve(data, grid)
-        table, terms, weights = solved["table"], solved["terms"], solved["delta2_probs"]
+        table, weights = solved["table"], solved["delta2_probs"]
     else:
         _check_sources(data, jp)
         if not np.array_equal(jp.grid.deltas2, grid.deltas2):
             raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
                               f"not on this R={grid.r} grid")
-        table, terms, weights = jp.table, jp.terms, marginal_delta2(jp)
+        table, weights = jp.table, marginal_delta2(jp)
     shift = table.shift
-    mean_c, var_c = table.ybar[-1], terms.inv_a[-1]
+    mean_c, var_c = table.ybar[-1], table.terms.inv_a[-1]
     mean = float((weights * mean_c).sum())
     e2 = float((weights * (var_c + mean_c ** 2)).sum())
     sd = math.sqrt(max(e2 - mean * mean, 0.0))
@@ -102,26 +107,40 @@ def dpm_partition_prior(p: Partition, m: float) -> float:
 
 @dataclass(frozen=True)
 class DpmConfig:
-    """Settings for the DPM baseline.
+    """Settings for the DPM baseline, each checked when the config is built.
 
-    ``eta_b``, ``s_b`` and ``phi2`` default to data-driven values when None:
-    precision-weighted mean of the estimates, squared estimate range, and
-    twice the sample variance of the estimates.  ``fixed_eta``/``fixed_tau2``
-    freeze the base-distribution parameters instead of sampling them, which
-    the exact-enumeration oracle requires.
+    The hyperpriors cannot be set: :func:`_dpm_hyperpriors` derives eta_b,
+    s_b, phi1 and phi2 from the data.  ``iterations``, ``burn_in``,
+    ``thin`` and ``seed`` are read by the Gibbs chain alone.
+    ``fixed_eta``/``fixed_tau2`` freeze the base-distribution parameters
+    instead of sampling them, which the exact-enumeration oracle requires.
     """
 
     m: float = 3.0
-    eta_b: float | None = None
-    s_b: float | None = None
-    phi1: float = 2.0
-    phi2: float | None = None
     iterations: int = 12000
     burn_in: int = 2000
     thin: int = 1
     seed: int = 0
     fixed_eta: float | None = None
     fixed_tau2: float | None = None
+
+    def __post_init__(self):
+        if self.burn_in < 0:
+            raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.iterations <= self.burn_in:
+            raise DomainError("iterations must exceed burn_in")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.thin < 1:
+            raise DomainError("thin must be >= 1")
+        if self.m <= 0:
+            raise DomainError("concentration m must be > 0")
+        if not np.isfinite(self.m):
+            raise DomainError(f"hyperprior input m={self.m} is not usable")
+        if self.fixed_eta is not None and not np.isfinite(self.fixed_eta):
+            raise DomainError(f"fixed_eta must be finite, got {self.fixed_eta}")
+        if self.fixed_tau2 is not None and not (np.isfinite(self.fixed_tau2) and self.fixed_tau2 > 0):
+            raise DomainError(f"fixed_tau2 must be finite and > 0, got {self.fixed_tau2}")
 
 
 @dataclass(frozen=True)
@@ -155,41 +174,19 @@ class DpmDraws:
         return counts / counts.sum()
 
 
-def _resolve_dpm_defaults(data: SurveyData, cfg: DpmConfig) -> dict:
+def _dpm_hyperpriors(data: SurveyData, m: float) -> dict:
+    """``m`` and the module docstring's hyperpriors of ``data``, each checked usable."""
     prec = 1.0 / data.v
-    eta_b = cfg.eta_b if cfg.eta_b is not None else float((data.y_hat * prec).sum() / prec.sum())
-    rng_sq = float((data.y_hat.max() - data.y_hat.min()) ** 2)
-    s_b = cfg.s_b if cfg.s_b is not None else (rng_sq if rng_sq > 0 else float(data.v.mean()))
-    if cfg.phi2 is not None:
-        phi2 = cfg.phi2
-    elif data.l > 1 and float(np.var(data.y_hat, ddof=1)) > 0:
-        phi2 = 2.0 * float(np.var(data.y_hat, ddof=1))
-    else:
-        phi2 = float(data.v.mean())
-    return {"m": cfg.m, "eta_b": eta_b, "s_b": s_b, "phi1": cfg.phi1, "phi2": phi2}
-
-
-def _checked_dpm_inputs(data: SurveyData, cfg: DpmConfig) -> dict:
-    """Validate ``cfg``, chain settings included, and return the resolved hyperpriors."""
-    if cfg.burn_in < 0:
-        raise DomainError(f"burn_in must be >= 0, got {cfg.burn_in}")
-    if cfg.iterations <= cfg.burn_in:
-        raise DomainError("iterations must exceed burn_in")
-    if cfg.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.thin < 1:
-        raise DomainError("thin must be >= 1")
-    if cfg.m <= 0:
-        raise DomainError("concentration m must be > 0")
-    res = _resolve_dpm_defaults(data, cfg)
+    spread = float((data.y_hat.max() - data.y_hat.min()) ** 2)
+    var = float(np.var(data.y_hat, ddof=1)) if data.l > 1 else 0.0
+    res = {"eta_b": float((data.y_hat * prec).sum() / prec.sum()),
+           "s_b": spread if spread > 0 else float(data.v.mean()),
+           "phi1": 2.0,
+           "phi2": 2.0 * var if var > 0 else float(data.v.mean())}
     for name, val in res.items():
         if not np.isfinite(val) or (name != "eta_b" and val <= 0):
             raise DomainError(f"hyperprior input {name}={val} is not usable")
-    if cfg.fixed_eta is not None and not np.isfinite(cfg.fixed_eta):
-        raise DomainError(f"fixed_eta must be finite, got {cfg.fixed_eta}")
-    if cfg.fixed_tau2 is not None and not (np.isfinite(cfg.fixed_tau2) and cfg.fixed_tau2 > 0):
-        raise DomainError(f"fixed_tau2 must be finite and > 0, got {cfg.fixed_tau2}")
-    return res
+    return {"m": m, **res}
 
 
 def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
@@ -200,7 +197,7 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     the base precision are then redrawn from their conjugate conditionals.
     The concentration m stays fixed.  Reproducible given the seed.
     """
-    res = _checked_dpm_inputs(data, cfg)
+    res = _dpm_hyperpriors(data, cfg.m)
     eta0 = cfg.fixed_eta if cfg.fixed_eta is not None else res["eta_b"]
     tau20 = cfg.fixed_tau2 if cfg.fixed_tau2 is not None else res["phi2"] / res["phi1"]
 

@@ -86,8 +86,8 @@ class JointGridPosterior:
     gives p(j)).  ``log_cell`` is log(c_j / Bell(L)), the part of a cell's
     log weight that no block owns.  ``space`` is the full partition space,
     which the lattice view and the partition indices of the draws refer
-    to.  ``y_hat`` and ``v`` are the data the posterior was built from,
-    and ``terms`` the V-only arrays of ``kernels.variance_terms``.
+    to.  ``y_hat`` and ``v`` are the data the posterior was built from;
+    ``table.terms`` holds the V-only arrays of ``kernels.variance_terms``.
     """
 
     grid: DeltaGrid
@@ -101,7 +101,6 @@ class JointGridPosterior:
     delta2_probs: np.ndarray   # (R,) p(j)
     y_hat: np.ndarray          # (L,)
     v: np.ndarray              # (L,)
-    terms: kernels.VarianceTerms
 
     @cached_property
     def log_mass(self) -> np.ndarray:
@@ -127,13 +126,12 @@ def _solve(data: SurveyData, grid: DeltaGrid) -> dict:
     block = np.empty((5, 1 << data.l, grid.r))
     _, q, phi, z, w = block
     table = kernels.subset_table(y, v, d2, out=block[:3])
-    terms = kernels.variance_terms(v, d2)
     np.multiply(q, -0.5, out=phi)
     phi -= 0.5
     np.exp(phi, out=phi)
     phi[0] = 0.0
     kernels.partition_sums(phi, out=z)
-    log_cell = terms.log_cell + grid.log_prior_mass - math.log(bell_number(data.l))
+    log_cell = table.terms.log_cell + grid.log_prior_mass - math.log(bell_number(data.l))
     log_w = log_cell + np.log(z[-1])
     if not np.all(np.isfinite(log_w)):
         j = int(np.argmin(np.isfinite(log_w)))
@@ -143,7 +141,7 @@ def _solve(data: SurveyData, grid: DeltaGrid) -> dict:
     np.multiply(phi, z[::-1], out=w)          # row S of z[::-1] is Z(full - S)
     w *= p / z[-1]
     return dict(grid=grid, table=table, log_evidence=log_evidence, phi=phi, z=z,
-                block_mass=w, log_cell=log_cell, delta2_probs=p, y_hat=y, v=v, terms=terms)
+                block_mass=w, log_cell=log_cell, delta2_probs=p, y_hat=y, v=v)
 
 
 def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid) -> JointGridPosterior:
@@ -188,15 +186,13 @@ class PosteriorDraws:
     seed: int
 
 
-def _draw_mu(data: SurveyData, table: kernels.SubsetTable, terms: kernels.VarianceTerms,
-             members: np.ndarray, slots: np.ndarray, cols: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
+def _draw_mu(data: SurveyData, table: kernels.SubsetTable, members: np.ndarray,
+             slots: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw mu at given (partition, grid point) pairs, one row per entry of ``cols``.
 
     ``members`` (n, L) holds the subset bitmask of each source's cluster,
     ``slots`` (n, L) that cluster's label (its growth-string value), and
-    ``cols`` (n,) the table column; ``terms`` are the table's
-    :class:`kernels.VarianceTerms`.  Two-stage ancestral scheme: per
+    ``cols`` (n,) the table column.  Two-stage ancestral scheme: per
     cluster S, draw the cluster mean nu_S ~ N(ybar_S, 1 / A_S), then each
     member mu_i = y_i + (1 - lam_i)(nu_S - y_i) plus an independent
     N(0, delta2 (1 - lam_i)), the conditional posterior of
@@ -205,6 +201,7 @@ def _draw_mu(data: SurveyData, table: kernels.SubsetTable, terms: kernels.Varian
     # The (n, L) work is done in place, because those temporaries set a small
     # run's peak; per-cell factors are gathered from (R, L) views.
     n, l = slots.shape
+    terms = table.terms
     flat = members * table.a.shape[1] + cols[:, None]          # cluster's table entry
     nu = rng.standard_normal((n, l)).take(slots + np.arange(0, n * l, l)[:, None])
     nu /= np.sqrt(table.a.take(flat))
@@ -230,8 +227,7 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
     a = np.array(p.assignment)
     members = (a[:, None] == a[None, :]) @ (1 << np.arange(p.l))   # source i's cluster
     shape = (delta2.shape[0], p.l)
-    return _draw_mu(data, table, kernels.variance_terms(data.v, d2),
-                    np.broadcast_to(members, shape),
+    return _draw_mu(data, table, np.broadcast_to(members, shape),
                     np.broadcast_to(p.assignment, shape), cols, rng)
 
 
@@ -338,7 +334,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     first, j_idx = np.divmod(cells, r)
     first = 2 * first + 1
     g_idx = jp.space.index_of_codes(_peel(jp, first, j_idx, rng))
-    mu = _draw_mu(data, jp.table, jp.terms, jp.space.member_masks.take(g_idx, axis=0),
+    mu = _draw_mu(data, jp.table, jp.space.member_masks.take(g_idx, axis=0),
                   jp.space.assignment_array.take(g_idx, axis=0), j_idx, rng)
     return PosteriorDraws(
         b=b,
@@ -362,7 +358,7 @@ def exact_mixture_moments(data: SurveyData, jp: JointGridPosterior) -> tuple[np.
     against the spread of the estimates, where 1 - lam_i is tiny too.
     """
     _check_sources(data, jp)
-    t, p, terms = jp.table, jp.delta2_probs, jp.terms
+    t, p, terms = jp.table, jp.delta2_probs, jp.table.terms
     member = kernels.membership(data.l)                      # (L, 2^L)
     w = jp.block_mass
     nu2 = t.ybar * t.ybar                                     # E[nu_S^2 | cell]
@@ -417,7 +413,7 @@ def _checked_point(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
 
 def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int) -> np.ndarray:
     """(L,) the sum of :func:`mixture_cdf` over the cells [0, stop) only."""
-    t, w, terms = jp.table, jp.block_mass, jp.terms
+    t, w, terms = jp.table, jp.block_mass, jp.table.terms
     c = (data.y_hat - t.shift)[:, None, None]               # y_i in the table's terms
     gap = (data.y_hat - x)[:, None, None]
     sd = terms.cdf_sd                                       # sqrt(2 s^2)

@@ -61,14 +61,19 @@ class SubsetTable:
 
     Rows are indexed by the subset's bitmask, bit i set when source i is a
     member.  Row 0, the empty set, is all zeros; it pads the cluster lists
-    of partitions with fewer than L clusters.
+    of partitions with fewer than L clusters.  ``terms`` are the V-only
+    arrays the table was built on, so its readers need not look them up.
     """
 
-    deltas2: np.ndarray  # (R,)
+    terms: VarianceTerms
     shift: float         # precision-weighted mean of y, removed before summing
-    a: np.ndarray        # (2^L, R) A_S
     ybar: np.ndarray     # (2^L, R) ybar_S - shift
     q: np.ndarray        # (2^L, R) q_S
+
+    @property
+    def a(self) -> np.ndarray:
+        """(2^L, R) A_S, read-only."""
+        return self.terms.a
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -148,8 +153,8 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     all 2^L rows; B and C are summed that way, as :class:`VarianceTerms`
     sums A.  ``out``, if given, is a C-contiguous (3, 2^L, R) array:
     ``out[0]`` and ``out[1]`` become the table's ``ybar`` and ``q``, and
-    ``out[2]`` is scratch, left holding garbage.  ``a`` is the read-only
-    ``variance_terms(v, deltas2).a``.
+    ``out[2]`` is scratch, left holding garbage.  The table carries
+    ``variance_terms(v, deltas2)``, its one lookup of them.
     """
     L = y.shape[0]
     terms = variance_terms(v, deltas2)
@@ -172,7 +177,7 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     b2a = np.multiply(ybar[1:], ybar[1:], out=scratch[1:])
     b2a *= a[1:]
     q[1:] -= b2a
-    return SubsetTable(deltas2=terms.deltas2, shift=shift, a=a, ybar=ybar, q=q)
+    return SubsetTable(terms=terms, shift=shift, ybar=ybar, q=q)
 
 
 def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .baselines import DpmConfig, _checked_dpm_inputs, _dpm_blocks
+from .baselines import DpmConfig, _dpm_blocks, _dpm_hyperpriors
 from .grid import _TAILS
 from .model import SurveyData
 
@@ -105,7 +105,7 @@ def _dpm_mixture(data: SurveyData, cfg: DpmConfig, nodes: int, widen: float) -> 
     probability that S is a cluster and the base parameters are the
     node's, so over the S holding any one source it sums to 1.
     """
-    res = _checked_dpm_inputs(data, cfg)
+    res = _dpm_hyperpriors(data, cfg.m)
     eta, tau2, log_node = _dpm_axes(data, res, cfg, nodes, widen)
     t = kernels.subset_table(data.y_hat, data.v, np.zeros(1))
     score, mean, var = _dpm_blocks(t, eta - t.shift, tau2, res["m"])
@@ -142,9 +142,8 @@ def dpm_quadrature(data: SurveyData, cfg: DpmConfig) -> DpmQuadrature:
     block scores of ``baselines._dpm_blocks``, so the subset recursion
     sums over every partition exactly.  The base parameters are integrated
     on the midpoint grid of :func:`_dpm_axes`, ``DPM_NODES`` per free axis,
-    and :func:`_dpm_mixture` gives the block masses W[S, node].  Validates
-    ``cfg`` as ``baselines.dpm_gibbs`` does, but reads neither the chain
-    settings nor the seed.
+    and :func:`_dpm_mixture` gives the block masses W[S, node].  Reads
+    neither the chain settings nor the seed of ``cfg``.
     """
     return _summarize(cfg, _dpm_mixture(data, cfg, DPM_NODES, 1.0))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -319,16 +320,48 @@ def test_dpm_quadrature_agrees_with_a_long_chain():
     assert np.max(np.abs(np.array(post.ci_upper) - chain.ci_upper)) < 5e-3
 
 
+#: A bad value of each DpmConfig field, and the message its config is refused with.
+BAD_DPM_CONFIGS = (
+    ({"burn_in": -5}, "burn_in must be >= 0, got -5"),
+    ({"iterations": 100, "burn_in": 100}, "iterations must exceed burn_in"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"thin": 0}, "thin must be >= 1"),
+    ({"m": 0.0}, "concentration m must be > 0"),
+    ({"m": -1.0}, "concentration m must be > 0"),
+    ({"m": np.inf}, "hyperprior input m=inf is not usable"),
+    ({"m": np.nan}, "hyperprior input m=nan is not usable"),
+    ({"fixed_tau2": 0.0}, "fixed_tau2 must be finite and > 0, got 0.0"),
+    ({"fixed_tau2": np.inf}, "fixed_tau2 must be finite and > 0, got inf"),
+    ({"fixed_eta": np.nan}, "fixed_eta must be finite, got nan"),
+)
+
+
 def test_dpm_quadrature_validates_like_the_chain():
-    data = make_dixie(1.0)
-    for cfg in (DpmConfig(burn_in=-5), DpmConfig(iterations=100, burn_in=100), DpmConfig(seed=-1),
-                DpmConfig(thin=0), DpmConfig(m=0.0), DpmConfig(s_b=np.inf),
-                DpmConfig(fixed_tau2=0.0), DpmConfig(fixed_eta=np.nan)):
-        with pytest.raises(DomainError):
-            dpm_quadrature(data, cfg)
+    # the config refuses a bad field when it is built, before either method runs
+    for kwargs, message in BAD_DPM_CONFIGS:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            DpmConfig(**kwargs)
     # the chain settings and the seed are checked but not read
+    data = make_dixie(1.0)
     assert (dpm_quadrature(data, DpmConfig(seed=0, iterations=50, burn_in=5))
             .post_mean == dpm_quadrature(data, DpmConfig(seed=7)).post_mean)
+
+
+def test_dpm_hyperprior_fallbacks_and_overflow():
+    short = DpmConfig(iterations=30, burn_in=10)
+    v = np.array([0.01, 0.002, 0.03])
+    equal = SurveyData(["a", "b", "c"], [0.42, 0.42, 0.42], v)
+    for res in (dpm_gibbs(equal, short).resolved, dpm_quadrature(equal, short).resolved):
+        assert res["s_b"] == res["phi2"] == float(v.mean())   # zero range and zero variance
+    single = SurveyData(["a"], [0.3], [0.01])
+    for res in (dpm_gibbs(single, short).resolved, dpm_quadrature(single, short).resolved):
+        assert res["phi2"] == 0.01                            # no sample variance at L = 1
+    # estimates near 1e155 are finite, but their squared range is not
+    huge = SurveyData(["a", "b"], [-1e155, 1e155], [1.0, 1.0])
+    for method in (dpm_gibbs, dpm_quadrature):
+        with (np.errstate(over="ignore"),
+              pytest.raises(DomainError, match="^hyperprior input s_b=inf is not usable$")):
+            method(huge, short)
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +418,17 @@ def test_dpm_gibbs_matches_exact_enumeration():
 
 
 def test_dpm_gibbs_validation():
-    data = make_dixie(1.0)
     with pytest.raises(DomainError):
-        dpm_gibbs(data, DpmConfig(iterations=100, burn_in=100))
+        DpmConfig(iterations=100, burn_in=100)
     with pytest.raises(DomainError):
-        dpm_gibbs(data, DpmConfig(m=-1.0))
+        DpmConfig(m=-1.0)
     with pytest.raises(DomainError):
-        dpm_gibbs(data, DpmConfig(s_b=np.inf))
-    with pytest.raises(DomainError):
-        dpm_gibbs(data, DpmConfig(thin=0))
+        DpmConfig(thin=0)
     # a negative burn-in would keep history rows that no sweep writes
     with pytest.raises(DomainError, match="burn_in"):
-        dpm_gibbs(data, DpmConfig(iterations=50, burn_in=-5))
+        DpmConfig(iterations=50, burn_in=-5)
     with pytest.raises(DomainError, match="seed"):
-        dpm_gibbs(data, DpmConfig(iterations=50, burn_in=5, seed=-1))
+        DpmConfig(iterations=50, burn_in=5, seed=-1)
 
 
 def test_dpm_gibbs_reproducible_and_seed_sensitive():

@@ -1,11 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uncpool import ReportDocument
+from uncpool import DpmConfig, ReportDocument, dpm_gibbs
 from uncpool.baselines import DPM_QUADRATURE_MAX_L
-from uncpool.cli import run_command
+from uncpool.cli import build_parser, run_command
+
+from conftest import make_dixie
 
 DIXIE_CSV = "label,estimate,se\nSAHIE,0.254,0.014\nHS,0.361,0.028\nCDC,0.359,0.014\n"
 
@@ -168,11 +172,38 @@ def test_dpm_report_does_not_depend_on_the_seed(dixie_file, tmp_path):
     assert "method: quadrature" in (tmp_path / "dpm0.md").read_text(encoding="utf-8")
 
 
-def test_dpm_rejects_negative_burn_in(dixie_file, capsys):
-    assert run_command(["dpm", "--input", str(dixie_file), "--iterations", "50",
-                        "--burn-in", "-5"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "burn_in" in err
+def test_dpm_rejects_negative_burn_in(dixie_file, tmp_path, capsys):
+    # and every other bad chain setting, before anything is written
+    out = tmp_path / "dpm.json"
+    for flags, line in ((["--iterations", "50", "--burn-in", "-5"], "burn_in must be >= 0, got -5"),
+                        (["--thin", "0"], "thin must be >= 1"),
+                        (["--m", "0"], "concentration m must be > 0"),
+                        (["--iterations", "100", "--burn-in", "100"],
+                         "iterations must exceed burn_in")):
+        assert run_command(["dpm", "--input", str(dixie_file), *flags,
+                            "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
+
+
+def test_dpm_hyperpriors_come_from_the_data(tmp_path):
+    # Dixie at k = 1: SEs 0.014, 0.028, 0.028
+    y, se = [0.254, 0.361, 0.359], [0.014, 0.028, 0.028]
+    prec = [1.0 / s ** 2 for s in se]
+    mean = sum(y) / 3
+    want = {"m": 3.0, "eta_b": sum(p * x for p, x in zip(prec, y)) / sum(prec),
+            "s_b": (max(y) - min(y)) ** 2, "phi1": 2.0,
+            "phi2": 2.0 * sum((x - mean) ** 2 for x in y) / 2}
+    resolved = dpm_gibbs(make_dixie(1.0), DpmConfig(iterations=30, burn_in=10)).resolved
+    inp = tmp_path / "dixie1.csv"
+    inp.write_text("label,estimate,se\n" + "".join(f"s{i},{a},{b}\n" for i, (a, b)
+                                                    in enumerate(zip(y, se))), encoding="utf-8")
+    out = tmp_path / "dpm.json"
+    assert run_command(["dpm", "--input", str(inp), "--output", str(out)]) == 0
+    reported = json.loads(out.read_text(encoding="utf-8"))["config"]["hyperparameters"]
+    assert reported == resolved
+    assert list(resolved) == list(want)
+    assert resolved == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("cmd", ["pool", "pool-all", "dpm"])
@@ -367,3 +398,21 @@ def test_config_echoes_keep_their_keys(dixie_file, tmp_path):
         assert config["seed"] == 3 and config["format"] == "json"
     assert ReportDocument.from_json((tmp_path / "pool.json").read_text(encoding="utf-8")
                                     ).config["threshold"] == 0.001
+
+
+def _readme_section(title: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_quick_starts_run():
+    # the documented library calls run, and every documented command line parses
+    block = _readme_section("Quick start (library)").split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    lines = [line for line in _readme_section("Quick start (CLI)").splitlines()
+             if line.startswith("uncpool ")]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]

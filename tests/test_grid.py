@@ -83,7 +83,8 @@ def test_uniform_mass_gives_uniform_marginal():
     space = enumerate_partitions(3)
     grid = build_grid(8)
     size = np.array([bin(s).count("1") for s in range(8)])[:, None] * np.ones(8)
-    table = SubsetTable(deltas2=grid.deltas2, shift=0.0, a=np.ones((8, 8)),
+    v = np.ones(3)              # the terms are not read here; the table is not built from them
+    table = SubsetTable(terms=variance_terms(v, grid.deltas2), shift=0.0,
                         ybar=np.zeros((8, 8)), q=np.maximum(size - 1.0, 0.0))
     phi = np.exp(-0.5 * size)
     phi[0] = 0.0
@@ -91,11 +92,9 @@ def test_uniform_mass_gives_uniform_marginal():
     assert z[-1] == pytest.approx([5 * math.exp(-1.5)] * 8, rel=1e-15)
     log_cell = np.full(8, -math.log(8 * 5 * math.exp(-1.5)))
     p = np.full(8, 1 / 8)
-    v = np.ones(3)              # the terms are not read here; the table is not built from them
     jp = JointGridPosterior(grid=grid, space=space, table=table, log_evidence=0.0, phi=phi,
                             z=z, block_mass=phi * z[::-1] * (p / z[-1]), log_cell=log_cell,
-                            delta2_probs=p, y_hat=np.zeros(3), v=v,
-                            terms=variance_terms(v, grid.deltas2))
+                            delta2_probs=p, y_hat=np.zeros(3), v=v)
     assert marginal_g(jp) == pytest.approx([0.2] * 5, abs=1e-12)
     assert marginal_delta2(jp) == pytest.approx([1 / 8] * 8, abs=1e-12)
     assert np.exp(jp.log_mass).sum(axis=1) == pytest.approx([0.2] * 5, abs=1e-12)
@@ -454,7 +453,7 @@ def test_cold_and_warm_cache_posteriors_are_bit_identical():
     cold = evaluate_joint(data, space, g)
     cold_out = (exact_mixture_moments(data, cold), mixture_cdf(data, cold, data.y_hat))
     warm = evaluate_joint(data, space, g)
-    assert warm.terms is cold.terms
+    assert warm.table.terms is cold.table.terms
     for name in ("phi", "z", "block_mass", "delta2_probs", "log_cell"):
         assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
     assert cold.log_evidence == warm.log_evidence

@@ -32,7 +32,7 @@ def lattice(data, grid):
 def lattice_moments(data, space, table, lm):
     """Mean and SD of each mu_i over every (partition, cell), the SD about the mean."""
     w = np.exp(lm)
-    d2 = table.deltas2
+    d2 = table.terms.deltas2
     mean, sd = np.empty(data.l), np.empty(data.l)
     for i in range(data.l):
         rows = space.member_masks[:, i]

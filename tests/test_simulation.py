@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uncpool import (DELTA_STEP, DomainError, SimScenario, generate_replicate, parse_scenario,
-                     run_scenario, sd_reduction)
-from uncpool import grid, simulation
+from uncpool import (DELTA_STEP, DomainError, SimScenario, build_grid, enumerate_partitions,
+                     evaluate_joint, generate_replicate, parse_scenario, run_scenario,
+                     sd_reduction)
+from uncpool import grid, kernels, simulation
 from uncpool.io import sim_report_csv, sim_report_json
 from uncpool.simulation import MIN_REPS_PER_WORKER, _run_replicate, median
 
@@ -99,6 +100,23 @@ def test_replicates_independent_of_execution_order():
     records = [_run_replicate(s, i) for i in (4, 1, 0)]
     assert np.array_equal(records[0]["p_g"], direct["p_g"])
     assert np.array_equal(records[0]["post_mean"], direct["post_mean"])
+
+
+def variance_term_lookups() -> int:
+    info = kernels._cached_terms.cache_info()
+    return info.hits + info.misses
+
+
+def test_one_variance_terms_lookup_per_posterior():
+    # each lookup hashes the bytes of V and the grid; the table carries what it looked up
+    s = small_scenario()
+    data = generate_replicate(s, 0)
+    before = variance_term_lookups()
+    evaluate_joint(data, enumerate_partitions(3), build_grid(s.r))
+    assert variance_term_lookups() - before == 1
+    before = variance_term_lookups()
+    _run_replicate(s, 0)
+    assert variance_term_lookups() - before == 1
 
 
 def test_report_fields_are_consistent():
