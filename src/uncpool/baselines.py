@@ -1,8 +1,10 @@
 """Complete-pooling and Dirichlet-process-mixture baselines.
 
 The pool-all posterior summarizes the common mean nu of the single-cluster
-model.  The DPM baseline clusters sources through a Dirichlet process prior
-on their means, with base parameters eta ~ N(eta_b, s_b) and tau2 ~
+model, mixing its conditional normal over the delta2 marginal p(j); its
+interval draws cells from p(j) with numpy's ``Generator.choice``.  The DPM
+baseline clusters sources through a Dirichlet process prior on their
+means, with base parameters eta ~ N(eta_b, s_b) and tau2 ~
 IG(phi1/2, phi2/2).  The four hyperpriors come from the data and cannot be
 set (:func:`_dpm_hyperpriors`): eta_b is the precision-weighted mean of the
 estimates, s_b their squared range, phi1 = 2 and phi2 twice their sample
@@ -25,8 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import (DeltaGrid, JointGridPosterior, _check_sources, _draw_cells, _solve,
-                   interval95, marginal_delta2)
+from .grid import DeltaGrid, JointGridPosterior, _check_sources, _solve, interval95
 from .model import SurveyData
 from .partitions import Partition, PartitionSpace, enumerate_partitions, growth_codes
 
@@ -69,14 +70,14 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
         if not np.array_equal(jp.grid.deltas2, grid.deltas2):
             raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
                               f"not on this R={grid.r} grid")
-        table, weights = jp.table, marginal_delta2(jp)
+        table, weights = jp.table, jp.delta2_probs
     shift = table.shift
     mean_c, var_c = table.ybar[-1], table.terms.inv_a[-1]
     mean = float((weights * mean_c).sum())
     e2 = float((weights * (var_c + mean_c ** 2)).sum())
     sd = math.sqrt(max(e2 - mean * mean, 0.0))
     rng = np.random.default_rng(seed)
-    cells = _draw_cells(weights, b, rng)   # overwrites weights
+    cells = rng.choice(weights.size, b, p=weights / weights.sum())
     draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
     lo, hi = interval95(draws)
     return PoolAllPosterior(mean=shift + mean, sd=sd,
@@ -177,9 +178,11 @@ class DpmDraws:
 def _dpm_hyperpriors(data: SurveyData, m: float) -> dict:
     """``m`` and the module docstring's hyperpriors of ``data``, each checked usable."""
     prec = 1.0 / data.v
-    spread = float((data.y_hat.max() - data.y_hat.min()) ** 2)
-    var = float(np.var(data.y_hat, ddof=1)) if data.l > 1 else 0.0
-    res = {"eta_b": float((data.y_hat * prec).sum() / prec.sum()),
+    with np.errstate(over="ignore", invalid="ignore"):   # the check below reports overflow
+        spread = float((data.y_hat.max() - data.y_hat.min()) ** 2)
+        var = float(np.var(data.y_hat, ddof=1)) if data.l > 1 else 0.0
+        eta_b = float((data.y_hat * prec).sum() / prec.sum())
+    res = {"eta_b": eta_b,
            "s_b": spread if spread > 0 else float(data.v.mean()),
            "phi1": 2.0,
            "phi2": 2.0 * var if var > 0 else float(data.v.mean())}

@@ -10,9 +10,9 @@ import numpy as np
 
 from .baselines import DPM_QUADRATURE_MAX_L, DpmConfig, dpm_gibbs, pool_all
 from .errors import UncpoolError
-from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize, survey_rows
-from .io import (RunConfig, ReportDocument, input_echo, parse_input,
-                 parse_scenario, render_report, sim_report_csv, sim_report_json)
+from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize
+from .io import (RunConfig, ReportDocument, input_echo, parse_input, parse_scenario,
+                 render_report, sim_report_csv, sim_report_json, survey_rows)
 from .partitions import enumerate_partitions
 
 
@@ -90,6 +90,13 @@ def _echo(cfg, names: tuple[str, ...]) -> dict:
 _GRID_ECHO = ("r", "b", "seed", "format")
 
 
+def _report(args, kind: str, data, config: dict, results: dict) -> int:
+    """Build, render and write the report of one analysis command; its exit status."""
+    doc = ReportDocument(kind=kind, input=input_echo(data), config=config, results=results)
+    _write(render_report(doc, args.format), args.output)
+    return 0
+
+
 def _cmd_pool(args) -> int:
     data = parse_input(args.input)
     cfg = RunConfig(r=args.r, b=args.b, seed=args.seed, format=args.format,
@@ -100,29 +107,15 @@ def _cmd_pool(args) -> int:
     pa = pool_all(data, grid, b=cfg.b, seed=_child_seed(cfg.seed, 1), jp=jp) if data.l >= 2 else None
     draws = sample_mu(data, jp, cfg.b, _child_seed(cfg.seed, 0))
     table = summarize(data, jp, draws, pool_all=pa, threshold=cfg.threshold)
-    doc = ReportDocument(
-        kind="pool",
-        input=input_echo(data),
-        config=_echo(cfg, _GRID_ECHO + ("threshold",)),
-        results={"summary": table.to_dict()},
-    )
-    _write(render_report(doc, cfg.format), args.output)
-    return 0
+    return _report(args, "pool", data, _echo(cfg, _GRID_ECHO + ("threshold",)),
+                   {"summary": table.to_dict()})
 
 
 def _cmd_pool_all(args) -> int:
     data = parse_input(args.input)
     cfg = RunConfig(r=args.r, b=args.b, seed=args.seed, format=args.format)
-    grid = build_grid(cfg.r)
-    pa = pool_all(data, grid, b=cfg.b, seed=_child_seed(cfg.seed, 1))
-    doc = ReportDocument(
-        kind="pool-all",
-        input=input_echo(data),
-        config=_echo(cfg, _GRID_ECHO),
-        results={"pool_all": pa.to_dict()},
-    )
-    _write(render_report(doc, cfg.format), args.output)
-    return 0
+    pa = pool_all(data, build_grid(cfg.r), b=cfg.b, seed=_child_seed(cfg.seed, 1))
+    return _report(args, "pool-all", data, _echo(cfg, _GRID_ECHO), {"pool_all": pa.to_dict()})
 
 
 def _cmd_dpm(args) -> int:
@@ -136,16 +129,9 @@ def _cmd_dpm(args) -> int:
         method, post = "gibbs", dpm_gibbs(data, dpm_cfg)
     rows = survey_rows(data.labels, data.y_hat.tolist(), post.post_mean,
                        np.sqrt(data.v).tolist(), post.post_sd, post.ci_lower, post.ci_upper)
-    doc = ReportDocument(
-        kind="dpm",
-        input=input_echo(data),
-        config={"seed": dpm_cfg.seed, "format": args.format,
-                **_echo(dpm_cfg, ("m", "iterations", "burn_in", "thin")),
-                "hyperparameters": post.resolved},
-        results={"dpm": {"method": method, "rows": rows}},
-    )
-    _write(render_report(doc, args.format), args.output)
-    return 0
+    config = {"format": args.format, "hyperparameters": post.resolved,
+              **_echo(dpm_cfg, ("seed", "m", "iterations", "burn_in", "thin"))}
+    return _report(args, "dpm", data, config, {"dpm": {"method": method, "rows": rows}})
 
 
 def _cmd_simulate(args) -> int:

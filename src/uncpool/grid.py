@@ -18,6 +18,8 @@ W[S, j] = p(j) phi(S, j) Z(full - S, j) / Z(full, j), the posterior
 probability that S is a block and the cell is j.  The moments, the mixture
 CDF, the draws, complete pooling and the partition listing read these; the
 lattice itself is built only when ``JointGridPosterior.log_mass`` is read.
+The draws pick the block holding source 0 and the cell together with
+numpy's ``Generator.choice`` over the W rows of those blocks.
 
 What depends on the variances and the grid alone (A_S, 1/A_S, the
 shrinkage factors, the V-only part of the cell factor, the CDF component
@@ -40,6 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ComputationError, DomainError
+from .io import survey_rows
 from .model import SurveyData
 from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
                          growth_codes)
@@ -231,21 +234,6 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
                     np.broadcast_to(p.assignment, shape), cols, rng)
 
 
-def _draw_cells(mass: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``b`` flat indices with probability proportional to ``mass``.
-
-    Inverse CDF: cumulative sum, scaled by its last entry, searched with
-    uniforms; what ``rng.choice(mass.size, b, p=mass / mass.sum())`` runs
-    after its argument checks, which are skipped because the masses come
-    from a posterior already checked to be finite.  ``mass`` is
-    overwritten with the CDF.
-    """
-    mass /= mass.sum()
-    np.cumsum(mass, out=mass)
-    mass /= mass[-1]
-    return mass.searchsorted(rng.random(b), side="right")
-
-
 @lru_cache(maxsize=None)
 def _block_codes(l: int) -> np.ndarray:
     """(2^L,) growth-string code of the labels that put 1 on subset S and 0 elsewhere."""
@@ -321,16 +309,18 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     """Draw B values of mu by ancestral sampling from the grid posterior.
 
     The block holding source 0 and the cell are drawn together from the
-    block masses W; the other blocks are peeled off by :func:`_peel`, and
-    mu is then drawn by the two-stage scheme of :func:`_draw_mu` from the
-    cell's rows of the subset table.  Reproducible given the seed.
+    block masses W by ``rng.choice``; the other blocks are peeled off by
+    :func:`_peel`, and mu is then drawn by the two-stage scheme of
+    :func:`_draw_mu` from the cell's rows of the subset table.
+    Reproducible given the seed.
     """
     _check_sources(data, jp)
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     rng = np.random.default_rng(seed)
     r = jp.grid.r
-    cells = _draw_cells(jp.block_mass[1::2].flatten(), b, rng)   # odd S hold source 0
+    mass = jp.block_mass[1::2].ravel()   # odd S hold source 0
+    cells = rng.choice(mass.size, b, p=mass / mass.sum())
     first, j_idx = np.divmod(cells, r)
     first = 2 * first + 1
     g_idx = jp.space.index_of_codes(_peel(jp, first, j_idx, rng))
@@ -483,15 +473,6 @@ class PartitionMass:
     notation: str
     prob: float
     label: int | None = None   # conventional 1..5 label, only when L = 3
-
-
-#: Keys of a report's per-source row, in the order its tables print them.
-_ROW_KEYS = ("label", "observed", "post_mean", "observed_se", "post_sd", "ci_lower", "ci_upper")
-
-
-def survey_rows(*columns) -> list[dict]:
-    """One report row per source from per-source columns given in ``_ROW_KEYS`` order."""
-    return [dict(zip(_ROW_KEYS, row, strict=True)) for row in zip(*columns, strict=True)]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Input files are comma-delimited with a header of either
 ``label,estimate,se`` (summary form) or ``label,cases,total`` (binomial
-form, converted to the logit scale on ingestion).  Reports serialize to
-JSON (canonical, round-trips byte-identically), CSV, or markdown.
+form, converted to the logit scale on ingestion).  Every variance V must
+be positive, and the precisions 1/V must have a finite sum; the error
+names the line at which that sum first overflows.  Reports serialize to
+JSON (canonical, round-trips byte-identically), CSV, or markdown; their
+per-source rows are built by :func:`survey_rows`, keyed by ``_ROW_KEYS``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
-from .grid import _ROW_KEYS
 from .model import SurveyData
 
 if TYPE_CHECKING:  # imported where a scenario is built, so other commands skip it
@@ -94,7 +96,8 @@ def parse_input(source) -> SurveyData:
 
     Summary records become (estimate, se^2); binomial records pass through
     :func:`logit_transform`.  Raises ParseError with the offending 1-based
-    line number on malformed input.
+    line number on malformed input, and on the line at which the sum of the
+    precisions 1/V first overflows.
     """
     lines = _read_lines(source)
     rows = list(csv.reader(lines))
@@ -115,7 +118,8 @@ def parse_input(source) -> SurveyData:
         )
     if len(rows) == 1:
         raise ParseError("no records")
-    records = []
+    labels, estimates, variances = [], [], []
+    precision = 0.0   # the running sum of 1/V, which must stay finite
     first_seen: dict[str, int] = {}
     for line_no, row in rows[1:]:
         if len(row) != 3:
@@ -136,11 +140,15 @@ def parse_input(source) -> SurveyData:
         except ValueError:
             raise ParseError(f"non-numeric fields in {row[1]!r},{row[2]!r}",
                              line=line_no) from None
-        records.append(rec)
-    moments = [rec.to_moments() for rec in records]
-    return SurveyData(labels=[rec.label for rec in records],
-                      y_hat=[m[0] for m in moments], v=[m[1] for m in moments],
-                      source_form=form)
+        estimate, v = rec.to_moments()
+        precision += 1.0 / v
+        if precision == math.inf:
+            raise ParseError(f"se^2 = {v!r} takes the total precision, the sum of 1/se^2, "
+                             "past the float range", line=line_no)
+        labels.append(label)
+        estimates.append(estimate)
+        variances.append(v)
+    return SurveyData(labels=labels, y_hat=estimates, v=variances, source_form=form)
 
 
 @dataclass(frozen=True)
@@ -203,6 +211,15 @@ def input_echo(data: SurveyData) -> dict:
         "variances": [float(x) for x in data.v],
         "form": data.source_form,
     }
+
+
+#: Keys of a report's per-source row, in the order its tables print them.
+_ROW_KEYS = ("label", "observed", "post_mean", "observed_se", "post_sd", "ci_lower", "ci_upper")
+
+
+def survey_rows(*columns) -> list[dict]:
+    """One report row per source from per-source columns given in ``_ROW_KEYS`` order."""
+    return [dict(zip(_ROW_KEYS, row, strict=True)) for row in zip(*columns, strict=True)]
 
 
 def _fmt(x: float) -> str:

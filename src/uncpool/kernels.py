@@ -160,23 +160,26 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     terms = variance_terms(v, deltas2)
     if out is None:
         out = np.empty((3, 1 << L, deltas2.shape[0]))
-    shift = float((y / v).sum() / (1.0 / v).sum())
-    yc = y - shift
-    w = terms.w
     sums, scratch = out[:2], out[2]
-    wy = scratch[:2 * L].reshape(2, L, -1)     # w y and w y^2 per source; 2L <= 2^L rows
-    np.multiply(w, yc[:, None], out=wy[0])
-    np.multiply(w, (yc * yc)[:, None], out=wy[1])
-    sums[:, 0] = 0.0
-    for i in range(L):
-        lo = 1 << i
-        np.add(sums[:, :lo], wy[:, i, None, :], out=sums[:, lo:2 * lo])
     ybar, q = sums                 # B and C, overwritten in place below
-    a = terms.a
-    ybar[1:] /= a[1:]
-    b2a = np.multiply(ybar[1:], ybar[1:], out=scratch[1:])
-    b2a *= a[1:]
-    q[1:] -= b2a
+    # Estimates near the float range overflow here; the posterior's finite
+    # check reports them, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float((y / v).sum() / (1.0 / v).sum())
+        yc = y - shift
+        w = terms.w
+        wy = scratch[:2 * L].reshape(2, L, -1)     # w y and w y^2 per source; 2L <= 2^L rows
+        np.multiply(w, yc[:, None], out=wy[0])
+        np.multiply(w, (yc * yc)[:, None], out=wy[1])
+        sums[:, 0] = 0.0
+        for i in range(L):
+            lo = 1 << i
+            np.add(sums[:, :lo], wy[:, i, None, :], out=sums[:, lo:2 * lo])
+        a = terms.a
+        ybar[1:] /= a[1:]
+        b2a = np.multiply(ybar[1:], ybar[1:], out=scratch[1:])
+        b2a *= a[1:]
+        q[1:] -= b2a
     return SubsetTable(terms=terms, shift=shift, ybar=ybar, q=q)
 
 

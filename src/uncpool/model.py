@@ -31,7 +31,8 @@ class SurveyData:
     y_hat : array-like
         Point estimates, finite; copied and held read-only.
     v : array-like
-        Sampling variances, strictly positive; copied and held read-only.
+        Sampling variances, strictly positive, whose precisions 1/V have a
+        finite sum; copied and held read-only.
     source_form : {"summary", "binomial"}
         The input form the estimates came from, echoed into reports.
     """
@@ -61,6 +62,10 @@ class SurveyData:
             raise DomainError("estimates must be finite")
         if not (np.all(np.isfinite(self.v)) and np.all(self.v > 0)):
             raise DomainError("sampling variances must be finite and > 0")
+        with np.errstate(over="ignore"):
+            precision = (1.0 / self.v).sum()
+        if not np.isfinite(precision):
+            raise DomainError(f"the total precision sum(1/V) = {precision} is not finite")
 
     def __eq__(self, other):
         # the generated __eq__ would compare the arrays inside a tuple

@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,31 @@ def test_pool_report_of_precise_sources_has_no_nan(tmp_path):
         assert run_command(["pool", "--input", str(f), "--r", "2000", "--b", "500",
                             "--format", fmt, "--output", str(out)]) == 0
         assert "nan" not in out.read_text(encoding="utf-8").lower()
+
+
+UNUSABLE_INPUTS = {
+    "subnormal-variance": ("A,0.2,1e-160\nB,0.3,0.02\n", "line 2: "),
+    "precision-sum-overflows": ("A,0.2,1e-154\nB,0.3,1e-154\nC,0.25,1e-154\n", "line 3: "),
+    "estimates-near-1e155": ("A,-1e155,1\nB,1e155,1\n", ""),
+    "estimates-near-1e300": ("A,-1e300,1\nB,1e300,1\n", ""),
+}
+
+
+@pytest.mark.parametrize("cmd", ["pool", "pool-all", "dpm"])
+@pytest.mark.parametrize("case", sorted(UNUSABLE_INPUTS))
+def test_unusable_numbers_exit_with_one_error_line(tmp_path, capsys, cmd, case):
+    rows, where = UNUSABLE_INPUTS[case]
+    f = tmp_path / "in.csv"
+    f.write_text("label,estimate,se\n" + rows, encoding="utf-8")
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = run_command([cmd, "--input", str(f), "--output", str(out)])
+    assert status == 1
+    assert not out.exists()
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + where), err
 
 
 def test_pool_all_command(dixie_file, tmp_path):

@@ -144,7 +144,7 @@ def test_mismatched_space_rejected(dixie_panel1):
 def test_non_finite_weight_raises_named_cell():
     # estimates of 1e200 overflow the misfit sums to inf - inf
     data = SurveyData(["a", "b", "c"], [1e200, -1e200, 0.0], [1.0, 1.0, 1.0])
-    with np.errstate(all="ignore"), pytest.raises(ComputationError, match=r"grid cell 0 "):
+    with pytest.raises(ComputationError, match=r"grid cell 0 "):
         evaluate_joint(data, enumerate_partitions(3), build_grid(16))
 
 

@@ -113,9 +113,13 @@ def test_parse_errors_carry_line_numbers():
         parse_input(io.StringIO("label,estimate,se\nA,0.2,0.01\nB,0.3\n"))
     with pytest.raises(ParseError, match="line 2"):
         parse_input(io.StringIO("label,estimate,se\nA,x,0.01\n"))
-    for se in ("0", "1e-170", "1e200"):     # the last two square to 0 and to inf
+    # 1e-170 and 1e200 square to 0 and to inf; 1e-160 squares to a subnormal whose 1/V is inf
+    for se in ("0", "1e-170", "1e200", "1e-160"):
         with pytest.raises(ParseError, match="line 2.*se"):
             parse_input(io.StringIO(f"label,estimate,se\nA,0.2,{se}\n"))
+    # each 1/V of 1e308 is finite, but the running total overflows at the second row
+    with pytest.raises(ParseError, match="line 3.*se"):
+        parse_input(io.StringIO("label,estimate,se\nA,0.2,1e-154\nB,0.3,1e-154\nC,0.4,1e-154\n"))
     with pytest.raises(ParseError, match="line 3"):
         parse_input(io.StringIO("label,cases,total\nA,5,10\nB,11,10\n"))
     with pytest.raises(ParseError, match="line 2"):

@@ -278,3 +278,11 @@ def test_survey_data_validation():
         SurveyData(["a"], [0.1], [0.0])
     with pytest.raises(DomainError):
         SurveyData(["a", "b"], [0.1], [0.01])
+
+
+@pytest.mark.parametrize("v", [[1e-320], [1e-308, 1e-308]])
+def test_survey_data_refuses_a_total_precision_past_the_float_range(v):
+    # a subnormal V whose 1/V overflows, and two V whose 1/V are finite but sum to inf
+    with pytest.raises(DomainError, match=r"sum\(1/V\) = inf is not finite"):
+        SurveyData([f"s{i}" for i in range(len(v))], [0.2] * len(v), v)
+    SurveyData(["a", "b"], [0.2, 0.3], [1e-308, 1e-300])   # 1.0000000001e308 stays finite
