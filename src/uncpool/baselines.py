@@ -29,7 +29,8 @@ from . import kernels
 from .errors import DomainError
 from .grid import DeltaGrid, JointGridPosterior, _check_sources, _solve, interval95
 from .model import SurveyData
-from .partitions import Partition, PartitionSpace, enumerate_partitions, growth_codes
+from .partitions import (Partition, PartitionSpace, enumerate_partitions, growth_codes,
+                         member_masks)
 
 
 @dataclass(frozen=True)
@@ -314,8 +315,9 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactRe
     w = np.exp(logw - logw.max())
     w /= w.sum()
     # each source's conjugate cluster posterior, (G, L), about the table's shift
-    means = mean[space.member_masks]
-    variances = var[space.member_masks]
+    member = member_masks(space.assignment_array)
+    means = mean[member]
+    variances = var[member]
     e1 = w @ means
     sd = np.sqrt(w @ (variances + (means - e1) ** 2))
     return DpmExactResult(space=space, probs=w, post_mean=t.shift + e1, post_sd=sd)

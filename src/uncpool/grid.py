@@ -45,7 +45,7 @@ from .errors import ComputationError, DomainError
 from .io import survey_rows
 from .model import SurveyData
 from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
-                         growth_codes)
+                         growth_codes, growth_labels, member_masks)
 
 if TYPE_CHECKING:  # runtime import would be circular; used only in annotations
     from .baselines import PoolAllPosterior
@@ -88,9 +88,9 @@ class JointGridPosterior:
     and the cell is j (summed over the subsets holding any one source, W
     gives p(j)).  ``log_cell`` is log(c_j / Bell(L)), the part of a cell's
     log weight that no block owns.  ``space`` is the full partition space,
-    which the lattice view and the partition indices of the draws refer
-    to.  ``y_hat`` and ``v`` are the data the posterior was built from;
-    ``table.terms`` holds the V-only arrays of ``kernels.variance_terms``.
+    which the lattice view refers to.  ``y_hat`` and ``v`` are the data
+    the posterior was built from; ``table.terms`` holds the V-only arrays
+    of ``kernels.variance_terms``.
     """
 
     grid: DeltaGrid
@@ -184,18 +184,22 @@ class PosteriorDraws:
 
     b: int
     mu: np.ndarray             # (B, L)
-    g_indices: np.ndarray      # (B,) partition index per draw
+    codes: np.ndarray          # (B,) growth-string code of each draw's partition
     delta2_values: np.ndarray  # (B,) grid delta2 per draw
     seed: int
 
+    @cached_property
+    def g_indices(self) -> np.ndarray:
+        """(B,) each draw's partition index in the enumeration, built on first read."""
+        return PartitionSpace(self.mu.shape[1]).index_of_codes(self.codes)
 
-def _draw_mu(data: SurveyData, table: kernels.SubsetTable, members: np.ndarray,
-             slots: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+
+def _draw_mu(data: SurveyData, table: kernels.SubsetTable, slots: np.ndarray,
+             cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw mu at given (partition, grid point) pairs, one row per entry of ``cols``.
 
-    ``members`` (n, L) holds the subset bitmask of each source's cluster,
-    ``slots`` (n, L) that cluster's label (its growth-string value), and
-    ``cols`` (n,) the table column.  Two-stage ancestral scheme: per
+    ``slots`` (n, L) holds each source's cluster label (its growth-string
+    value) and ``cols`` (n,) the table column.  Two-stage ancestral scheme: per
     cluster S, draw the cluster mean nu_S ~ N(ybar_S, 1 / A_S), then each
     member mu_i = y_i + (1 - lam_i)(nu_S - y_i) plus an independent
     N(0, delta2 (1 - lam_i)), the conditional posterior of
@@ -205,7 +209,7 @@ def _draw_mu(data: SurveyData, table: kernels.SubsetTable, members: np.ndarray,
     # run's peak; per-cell factors are gathered from (R, L) views.
     n, l = slots.shape
     terms = table.terms
-    flat = members * table.a.shape[1] + cols[:, None]          # cluster's table entry
+    flat = member_masks(slots) * table.a.shape[1] + cols[:, None]   # cluster's table entry
     nu = rng.standard_normal((n, l)).take(slots + np.arange(0, n * l, l)[:, None])
     nu /= np.sqrt(table.a.take(flat))
     nu += table.ybar.take(flat)
@@ -227,11 +231,8 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
     """
     d2, cols = np.unique(delta2, return_inverse=True)
     table = kernels.subset_table(data.y_hat, data.v, d2)
-    a = np.array(p.assignment)
-    members = (a[:, None] == a[None, :]) @ (1 << np.arange(p.l))   # source i's cluster
-    shape = (delta2.shape[0], p.l)
-    return _draw_mu(data, table, np.broadcast_to(members, shape),
-                    np.broadcast_to(p.assignment, shape), cols, rng)
+    return _draw_mu(data, table, np.broadcast_to(p.assignment, (delta2.shape[0], p.l)),
+                    cols, rng)
 
 
 @lru_cache(maxsize=None)
@@ -323,13 +324,12 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     cells = rng.choice(mass.size, b, p=mass / mass.sum())
     first, j_idx = np.divmod(cells, r)
     first = 2 * first + 1
-    g_idx = jp.space.index_of_codes(_peel(jp, first, j_idx, rng))
-    mu = _draw_mu(data, jp.table, jp.space.member_masks.take(g_idx, axis=0),
-                  jp.space.assignment_array.take(g_idx, axis=0), j_idx, rng)
+    codes = _peel(jp, first, j_idx, rng)
+    mu = _draw_mu(data, jp.table, growth_labels(codes, data.l), j_idx, rng)
     return PosteriorDraws(
         b=b,
         mu=mu,
-        g_indices=g_idx,
+        codes=codes,
         delta2_values=jp.grid.deltas2[j_idx],
         seed=seed,
     )
@@ -504,13 +504,15 @@ class SummaryTable:
 
 
 def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and probabilities of the partitions with p(pi) >= threshold, in space order.
+    """Codes and probabilities of the partitions with p(pi) >= threshold, in space order.
 
-    Grows partitions block by block, smallest member first.  A prefix of
-    blocks T_1..T_k with the sources U still free has mass
-    sum_j p(j) prod phi(T_i, j) Z(U, j) / Z(full, j), the total of its
-    completions, so no completion outweighs its prefix; prefixes lighter
-    than the threshold (less a relative 1e-12 for rounding) are dropped.
+    Partitions are named by their growth-string codes, which ascend with
+    the enumeration.  Grows partitions block by block, smallest member
+    first.  A prefix of blocks T_1..T_k with the sources U still free has
+    mass sum_j p(j) prod phi(T_i, j) Z(U, j) / Z(full, j), the total of
+    its completions, so no completion outweighs its prefix; prefixes
+    lighter than the threshold (less a relative 1e-12 for rounding) are
+    dropped.
     A prefix that leaves at most one source free is complete, the lone
     source being the last block (Z of a single source is its phi), and
     its mass is the exact p(pi).
@@ -541,11 +543,10 @@ def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.nda
         go = np.flatnonzero(keep & ~lone)
         rest, scale, codes = left[go], scale.take(go, axis=0), codes[go]
         label += 1
-    probs = np.concatenate(found_probs)
-    g = jp.space.index_of_codes(np.concatenate(found_codes))
+    codes, probs = np.concatenate(found_codes), np.concatenate(found_probs)
     keep = np.flatnonzero(probs >= threshold)
-    order = keep[np.argsort(g[keep])]
-    return g[order], probs[order]
+    order = keep[np.argsort(codes[keep])]
+    return codes[order], probs[order]
 
 
 #: Quantile levels of the reported equal-tailed 95% intervals.
@@ -608,8 +609,8 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
     lo, hi = interval95(draws.mu)
     probs = []
     listed, listed_probs = _listed_partitions(jp, threshold)
-    for g, prob in zip(listed.tolist(), listed_probs.tolist()):
-        p = jp.space.partitions[g]
+    for labels, prob in zip(growth_labels(listed, data.l).tolist(), listed_probs.tolist()):
+        p = Partition(tuple(labels))
         label = display_label_l3(p) if data.l == 3 else None
         probs.append(PartitionMass(notation=p.notation(), prob=prob, label=label))
     return SummaryTable(

@@ -78,7 +78,12 @@ def logit_transform(y: int, n: int) -> tuple[float, float]:
         raise DomainError(f"total count must be >= 1, got {n}")
     if not 0 <= y <= n:
         raise DomainError(f"cases must satisfy 0 <= y <= n, got y={y}, n={n}")
-    ys, ns = (y + 0.5, n + 1.0) if y in (0, n) else (float(y), float(n))
+    try:
+        ys, ns = (y + 0.5, n + 1.0) if y in (0, n) else (float(y), float(n))
+    except OverflowError:
+        raise DomainError(f"total count has {len(str(n))} digits, too many for a float") from None
+    if ys == ns:
+        raise DomainError(f"cases={y} and total={n} are too close for floats to tell apart")
     estimate = math.log(ys / (ns - ys))
     variance = 1.0 / ys + 1.0 / (ns - ys)
     return estimate, variance
@@ -135,12 +140,12 @@ def parse_input(source) -> SurveyData:
                 rec = InputRecord(label=label, estimate=float(row[1]), se=float(row[2]))
             else:
                 rec = InputRecord(label=label, cases=int(row[1]), total=int(row[2]))
+            estimate, v = rec.to_moments()
         except DomainError as exc:
             raise ParseError(str(exc), line=line_no) from None
         except ValueError:
             raise ParseError(f"non-numeric fields in {row[1]!r},{row[2]!r}",
                              line=line_no) from None
-        estimate, v = rec.to_moments()
         precision += 1.0 / v
         if precision == math.inf:
             raise ParseError(f"se^2 = {v!r} takes the total precision, the sum of 1/se^2, "

@@ -165,7 +165,12 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     # Estimates near the float range overflow here; the posterior's finite
     # check reports them, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = float((y / v).sum() / (1.0 / v).sum())
+        # y is scaled by 2^-k, k the binary exponent of max |y|, before it is
+        # divided by V, so that y / V cannot overflow.  Short of underflow, a
+        # power of two scales every rounding exactly, so the bits are those of
+        # (y / v).sum() / (1 / v).sum() wherever that is finite.
+        s = 2.0 ** -max(math.frexp(max(y.max(), -y.min()))[1], 0)
+        shift = float((y * s / v).sum() / (1.0 / v).sum()) / s
         yc = y - shift
         w = terms.w
         wy = scratch[:2 * L].reshape(2, L, -1)     # w y and w y^2 per source; 2L <= 2^L rows

@@ -95,20 +95,27 @@ def test_pool_report_of_precise_sources_has_no_nan(tmp_path):
         assert "nan" not in out.read_text(encoding="utf-8").lower()
 
 
+SUMMARY = "label,estimate,se\n"
+
 UNUSABLE_INPUTS = {
-    "subnormal-variance": ("A,0.2,1e-160\nB,0.3,0.02\n", "line 2: "),
-    "precision-sum-overflows": ("A,0.2,1e-154\nB,0.3,1e-154\nC,0.25,1e-154\n", "line 3: "),
-    "estimates-near-1e155": ("A,-1e155,1\nB,1e155,1\n", ""),
-    "estimates-near-1e300": ("A,-1e300,1\nB,1e300,1\n", ""),
+    "subnormal-variance": (SUMMARY + "A,0.2,1e-160\nB,0.3,0.02\n", "line 2: "),
+    "precision-sum-overflows": (SUMMARY + "A,0.2,1e-154\nB,0.3,1e-154\nC,0.25,1e-154\n",
+                                "line 3: "),
+    "estimates-near-1e155": (SUMMARY + "A,-1e155,1\nB,1e155,1\n", ""),
+    "estimates-near-1e300": (SUMMARY + "A,-1e300,1\nB,1e300,1\n", ""),
+    "binomial-total-past-the-float-range": (
+        f"label,cases,total\nA,3,{10 ** 400}\nB,4,10\n", "line 2: "),
+    "binomial-cases-a-float-cannot-tell-from-total": (
+        f"label,cases,total\nA,4,10\nB,{10 ** 20 - 1},{10 ** 20}\n", "line 3: "),
 }
 
 
 @pytest.mark.parametrize("cmd", ["pool", "pool-all", "dpm"])
 @pytest.mark.parametrize("case", sorted(UNUSABLE_INPUTS))
 def test_unusable_numbers_exit_with_one_error_line(tmp_path, capsys, cmd, case):
-    rows, where = UNUSABLE_INPUTS[case]
+    text, where = UNUSABLE_INPUTS[case]
     f = tmp_path / "in.csv"
-    f.write_text("label,estimate,se\n" + rows, encoding="utf-8")
+    f.write_text(text, encoding="utf-8")
     out = tmp_path / "report.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -118,6 +125,20 @@ def test_unusable_numbers_exit_with_one_error_line(tmp_path, capsys, cmd, case):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + where), err
+
+
+def test_estimates_near_the_float_range_with_small_ses_pool(tmp_path):
+    # y / V would overflow in the centring shift, though every centred value is 0
+    f = tmp_path / "in.csv"
+    f.write_text(SUMMARY + "A,1e300,1e-5\nB,1e300,1e-5\n", encoding="utf-8")
+    results = {}
+    for cmd in ("pool", "pool-all"):
+        out = tmp_path / f"{cmd}.json"
+        assert run_command([cmd, "--input", str(f), "--r", "200", "--b", "500",
+                            "--output", str(out)]) == 0
+        results[cmd] = ReportDocument.from_json(out.read_text(encoding="utf-8")).results
+    assert [row["post_mean"] for row in results["pool"]["summary"]["rows"]] == [1e300, 1e300]
+    assert results["pool-all"]["pool_all"]["mean"] == 1e300
 
 
 def test_pool_all_command(dixie_file, tmp_path):

@@ -13,6 +13,7 @@ from uncpool.grid import (PosteriorDraws, _draw_mu_for_partition, covers95, inte
                           mixture_cdf)
 from uncpool.kernels import (SubsetTable, partition_sums, q_matrix, subset_table,
                              variance_terms)
+from uncpool.partitions import growth_labels, member_masks
 
 from conftest import make_dixie
 
@@ -399,7 +400,7 @@ def test_posterior_for_another_l_is_refused():
     jp = evaluate_joint(small_data(np.random.default_rng(1), 3), enumerate_partitions(3),
                         build_grid(40))
     data = small_data(np.random.default_rng(2), 4)
-    draws = PosteriorDraws(b=2, mu=np.zeros((2, 4)), g_indices=np.zeros(2, dtype=np.int64),
+    draws = PosteriorDraws(b=2, mu=np.zeros((2, 4)), codes=np.zeros(2, dtype=np.int64),
                            delta2_values=jp.grid.deltas2[:2], seed=0)
     calls = [lambda: sample_mu(data, jp, 10, seed=0),
              lambda: summarize(data, jp, draws),
@@ -420,7 +421,7 @@ def test_posterior_built_from_other_data_is_refused(shift_y, scale_v, differ):
     built = SurveyData(["a", "b", "c"], [0.25, 0.36, 0.36], [0.014 ** 2, 0.028 ** 2, 0.028 ** 2])
     jp = evaluate_joint(built, enumerate_partitions(3), build_grid(40))
     data = SurveyData(built.labels, built.y_hat + shift_y, built.v * scale_v)
-    draws = PosteriorDraws(b=2, mu=np.zeros((2, 3)), g_indices=np.zeros(2, dtype=np.int64),
+    draws = PosteriorDraws(b=2, mu=np.zeros((2, 3)), codes=np.zeros(2, dtype=np.int64),
                            delta2_values=jp.grid.deltas2[:2], seed=0)
     calls = [lambda: sample_mu(data, jp, 10, seed=0),
              lambda: summarize(data, jp, draws),
@@ -465,7 +466,7 @@ def test_cold_and_warm_cache_posteriors_are_bit_identical():
 @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (15,)])
 def test_summarize_refuses_draws_of_another_width(dixie_panel1, shape):
     jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(40))
-    draws = PosteriorDraws(b=5, mu=np.zeros(shape), g_indices=np.zeros(5, dtype=np.int64),
+    draws = PosteriorDraws(b=5, mu=np.zeros(shape), codes=np.zeros(5, dtype=np.int64),
                            delta2_values=jp.grid.deltas2[:5], seed=0)
     with pytest.raises(DomainError, match=rf"one column per source, L=3; got shape \({shape[0]},"):
         summarize(dixie_panel1, jp, draws)
@@ -555,7 +556,7 @@ def test_cell_draws_equal_generator_choice(l):
     p = jp.block_mass[1::2].ravel()
     p = p / p.sum()
     expect = np.random.default_rng(11).choice(p.size, 3000, p=p)
-    first = jp.space.member_masks[draws.g_indices, 0]
+    first = member_masks(growth_labels(draws.codes, l))[:, 0]
     cells = np.searchsorted(jp.grid.deltas2, draws.delta2_values)
     assert np.array_equal((first - 1) // 2 * jp.grid.r + cells, expect)
 

@@ -10,7 +10,7 @@ import pytest
 from uncpool import DpmConfig, SurveyData, dpm_gibbs, q_statistic
 from uncpool import kernels
 from uncpool.kernels import dpm_chain, q_matrix, subset_table
-from uncpool.partitions import enumerate_partitions
+from uncpool.partitions import enumerate_partitions, member_masks
 
 from conftest import make_dixie
 
@@ -87,8 +87,8 @@ def test_partition_subset_ids_l3():
     got = [[int(m) - 1 for m in row if m] for row in space.cluster_masks]
     assert got == expected
     # each source's cluster, as a mask, read off the same partitions
-    assert space.member_masks.tolist() == [[7, 7, 7], [3, 3, 4], [5, 2, 5],
-                                           [1, 6, 6], [1, 2, 4]]
+    assert member_masks(space.assignment_array).tolist() == [
+        [7, 7, 7], [3, 3, 4], [5, 2, 5], [1, 6, 6], [1, 2, 4]]
 
 
 def test_subset_terms_singletons_are_zero():

@@ -5,7 +5,7 @@ import pytest
 
 from uncpool import (DomainError, Partition, PartitionSpace, bell_number, display_label_l3,
                      enumerate_partitions)
-from uncpool.partitions import growth_codes
+from uncpool.partitions import growth_codes, growth_labels, member_masks
 
 
 def bell_oracle(n: int) -> int:
@@ -142,7 +142,7 @@ def test_masks_and_counts_match_partition_objects(l):
     cluster = [[sum(1 << i for i in c) for c in p.clusters] + [0] * (l - p.d) for p in parts]
     member = [[cluster[g][k] for k in p.assignment] for g, p in enumerate(parts)]
     assert space.cluster_masks.tolist() == cluster
-    assert space.member_masks.tolist() == member
+    assert member_masks(space.assignment_array).tolist() == member
     assert space.d_array.tolist() == [p.d for p in parts]
 
 
@@ -179,6 +179,7 @@ def test_growth_codes_follow_enumeration_order(l):
     assert np.all(np.diff(codes) > 0)
     picks = np.random.default_rng(l).integers(0, space.g, size=50)
     assert np.array_equal(space.index_of_codes(codes[picks]), picks)
+    assert np.array_equal(growth_labels(codes, l), space.assignment_array)
     not_growth = growth_codes(np.array([[0, 2] + [0] * (l - 2)]))   # skips label 1
     with pytest.raises(DomainError, match="not in the partition space"):
         space.index_of_codes(not_growth)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from uncpool import (SurveyData, build_grid, enumerate_partitions, evaluate_joint,
                      exact_mixture_moments, log_inv_beta_prior, marginal_g, pool_all,
                      sample_mu, summarize)
-from uncpool import baselines, kernels
+from uncpool import baselines, kernels, partitions
 from uncpool.grid import _listed_partitions
 from uncpool.kernels import partition_sums, q_matrix, subset_splits, subset_table
+from uncpool.partitions import PartitionSpace, growth_codes, member_masks
 
 
 def lattice(data, grid):
@@ -34,8 +35,9 @@ def lattice_moments(data, space, table, lm):
     w = np.exp(lm)
     d2 = table.terms.deltas2
     mean, sd = np.empty(data.l), np.empty(data.l)
+    member = member_masks(space.assignment_array)
     for i in range(data.l):
-        rows = space.member_masks[:, i]
+        rows = member[:, i]
         oml = data.v[i] / (d2 + data.v[i])
         cond_mean = d2 / (d2 + data.v[i]) * (data.y_hat[i] - table.shift) + oml * table.ybar[rows]
         cond_var = d2 * oml + oml * oml / table.a[rows]
@@ -112,12 +114,13 @@ def test_recursion_matches_lattice(l):
     assert np.max(np.abs(mean - want_mean)) < 1e-12
     assert np.max(np.abs(sd - want_sd)) < 1e-12
     pg = np.exp(lm).sum(axis=1)
-    g, probs = _listed_partitions(jp, 0.0)
-    assert g.tolist() == list(range(space.g))
+    codes, probs = _listed_partitions(jp, 0.0)
+    every = growth_codes(space.assignment_array)
+    assert np.array_equal(codes, every)
     assert np.max(np.abs(probs - pg)) < 1e-12
     assert np.max(np.abs(marginal_g(jp) - pg)) < 1e-12
     # the pruned listing keeps exactly the partitions at or above the threshold
-    assert _listed_partitions(jp, 1e-3)[0].tolist() == np.flatnonzero(pg >= 1e-3).tolist()
+    assert np.array_equal(_listed_partitions(jp, 1e-3)[0], every[pg >= 1e-3])
 
 
 @pytest.mark.parametrize("l", [4, 8, 10])
@@ -151,7 +154,11 @@ def test_pool_pipeline_never_builds_the_lattice(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the lattice was built")
 
+    def refuse_enumeration(*args, **kwargs):
+        raise AssertionError("the Bell(L) enumeration was built")
+
     monkeypatch.setattr(kernels, "q_matrix", refuse)
+    monkeypatch.setattr(partitions, "_growth_string_array", refuse_enumeration)
     data = random_data(np.random.default_rng(8), 8)
     grid = build_grid(50)
     jp = evaluate_joint(data, enumerate_partitions(8), grid)
@@ -161,6 +168,9 @@ def test_pool_pipeline_never_builds_the_lattice(monkeypatch):
     assert table.partition_probs and "log_mass" not in vars(jp)
     monkeypatch.setattr(baselines, "enumerate_partitions", refuse)
     assert pool_all(data, grid, b=500, seed=1).mean == pa.mean
+    monkeypatch.undo()
+    # the draws' partition indices stay readable, built from the enumeration on demand
+    assert np.array_equal(draws.g_indices, PartitionSpace(8).index_of_codes(draws.codes))
 
 
 @settings(max_examples=25, deadline=None, database=None)

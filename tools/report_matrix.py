@@ -11,6 +11,9 @@ importable, and writes into OUTDIR:
 - ``dpm`` through the Gibbs chain on an L=7 input;
 - ``pool --r 200 --threshold 0`` on an L=8 input;
 - ``pool`` and ``dpm`` on three equal estimates and on an L=1 input;
+- ``pool``, ``pool-all`` and ``dpm`` in json at seed 0 on the Dixie panel
+  with the CDC SE equal to the HS SE, every estimate offset by 1e6, so
+  that no estimate lies below 1;
 - ``partitions --l 3`` with posterior masses for the first panel;
 - a 40-replicate ``simulate``.
 
@@ -45,6 +48,7 @@ EXTRA_INPUTS = {
     "wide_8": _wide(8),
     "equal_3": ((0.3, 0.3, 0.3), (0.02, 0.03, 0.04)),
     "single_1": ((0.3,), (0.02,)),
+    "dixie_1.0_plus_1e6": (tuple(1e6 + y for y in PANELS[1][1]), PANELS[1][2]),
 }
 
 SCENARIO = "reps = 40\nbase_seed = 20260809\ndelta_shift = 0.0386\n"
@@ -72,6 +76,9 @@ def _runs(inputs: Path, out: Path):
     for name in ("equal_3", "single_1"):
         for cmd in ("pool", "dpm"):
             yield [cmd, "--input", extra[name]], out / f"{cmd}-{name}.json"
+    for cmd in ("pool", "pool-all", "dpm"):
+        yield ([cmd, "--input", extra["dixie_1.0_plus_1e6"], "--seed", "0", "--format", "json"],
+               out / f"{cmd}-dixie_1.0_plus_1e6-s0.json")
     yield (["partitions", "--l", "3", "--input", str(inputs / f"{PANELS[0][0]}.csv")],
            out / "partitions-l3.txt")
     yield ["simulate", "--scenario", str(inputs / "scenario.txt")], out / "simulate"
