@@ -12,8 +12,7 @@ from .errors import ComputationError, DomainError, ParseError, UncpoolError
 from .grid import (DeltaGrid, JointGridPosterior, PartitionMass, PosteriorDraws,
                    SummaryTable, build_grid, evaluate_joint, exact_mixture_moments,
                    marginal_delta2, marginal_g, sample_mu, summarize)
-from .io import (InputRecord, ReportDocument, RunConfig, input_echo,
-                 logit_transform, parse_input, parse_scenario)
+from .io import ReportDocument, RunConfig, input_echo, logit_transform, parse_input
 from .model import (ClusterStats, ConditionalMoments, SurveyData, cluster_stats,
                     conditional_moments, log_inv_beta_prior, log_joint_kernel,
                     log_partition_likelihood, q_statistic, shrinkage)
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 
 # The simulation harness and the DPM quadrature load on first use, so CLI
 # commands that need neither skip importing them.
-_SIMULATION_NAMES = frozenset({"DELTA_STEP", "SimReport", "SimScenario",
-                               "generate_replicate", "run_scenario", "sd_reduction"})
+_SIMULATION_NAMES = frozenset({"DELTA_STEP", "SimReport", "SimScenario", "generate_replicate",
+                               "parse_scenario", "run_scenario", "sd_reduction"})
 _QUADRATURE_NAMES = frozenset({"DpmQuadrature", "dpm_quadrature"})
 
 
@@ -43,7 +42,7 @@ BACKEND = "numpy"
 __all__ = [
     "BACKEND", "ClusterStats", "ComputationError", "ConditionalMoments",
     "DELTA_STEP", "DeltaGrid", "DomainError", "DpmConfig", "DpmDraws",
-    "DpmExactResult", "DpmQuadrature", "InputRecord", "JointGridPosterior", "Partition",
+    "DpmExactResult", "DpmQuadrature", "JointGridPosterior", "Partition",
     "PartitionMass", "PartitionSpace", "ParseError", "PoolAllPosterior",
     "PosteriorDraws",
     "ReportDocument", "RunConfig", "SimReport", "SimScenario", "SummaryTable",

@@ -8,8 +8,8 @@ means, with base parameters eta ~ N(eta_b, s_b) and tau2 ~
 IG(phi1/2, phi2/2).  The four hyperpriors come from the data and cannot be
 set (:func:`_dpm_hyperpriors`): eta_b is the precision-weighted mean of the
 estimates, s_b their squared range, phi1 = 2 and phi2 twice their sample
-variance; s_b and phi2 are the mean V where those are 0 or undefined
-(L = 1).  At fixed base parameters (eta, tau2) the DPM is a product
+variance; s_b and phi2 are the mean V where the estimates are all equal,
+as at L = 1.  At fixed base parameters (eta, tau2) the DPM is a product
 partition model, whose block scores :func:`_dpm_blocks` gives.  The
 ``dpm`` command reports the posterior by quadrature over (eta, log tau2)
 (``quadrature.dpm_quadrature``) up to DPM_QUADRATURE_MAX_L sources, and
@@ -180,8 +180,10 @@ def _dpm_hyperpriors(data: SurveyData, m: float) -> dict:
     """``m`` and the module docstring's hyperpriors of ``data``, each checked usable."""
     prec = 1.0 / data.v
     with np.errstate(over="ignore", invalid="ignore"):   # the check below reports overflow
-        spread = float((data.y_hat.max() - data.y_hat.min()) ** 2)
-        var = float(np.var(data.y_hat, ddof=1)) if data.l > 1 else 0.0
+        diff = data.y_hat.max() - data.y_hat.min()
+        spread = float(diff ** 2)
+        # equal estimates: np.var can leave a rounding residue such as 1.8e-32 at 0.7
+        var = float(np.var(data.y_hat, ddof=1)) if diff > 0 else 0.0
         eta_b = float((data.y_hat * prec).sum() / prec.sum())
     res = {"eta_b": eta_b,
            "s_b": spread if spread > 0 else float(data.v.mean()),

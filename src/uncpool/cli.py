@@ -11,8 +11,7 @@ import numpy as np
 from .baselines import DPM_QUADRATURE_MAX_L, DpmConfig, dpm_gibbs, pool_all
 from .errors import UncpoolError
 from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize
-from .io import (RunConfig, ReportDocument, input_echo, parse_input, parse_scenario,
-                 render_report, sim_report_csv, sim_report_json, survey_rows)
+from .io import RunConfig, ReportDocument, input_echo, parse_input, render_report, survey_rows
 from .partitions import enumerate_partitions
 
 
@@ -30,35 +29,36 @@ def build_parser() -> argparse.ArgumentParser:
     # Prefix matching is off: it would read the grid flag --b as dpm's --burn-in.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, config):
         p.add_argument("--input", required=True, help="CSV input file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+        p.add_argument("--seed", type=int, default=config.seed)
+        p.add_argument("--format", choices=("json", "csv", "md"), default=RunConfig.format)
         p.add_argument("--output", help="output file (default: stdout)")
 
     def add_grid(p):
-        p.add_argument("--r", type=int, default=2000, help="delta2 grid size")
-        p.add_argument("--b", type=int, default=5000, help="posterior draw count")
+        p.add_argument("--r", type=int, default=RunConfig.r, help="delta2 grid size")
+        p.add_argument("--b", type=int, default=RunConfig.b, help="posterior draw count")
 
     p = sub.add_parser("pool", allow_abbrev=False, help="full uncertain-pooling analysis")
-    add_common(p)
+    add_common(p, RunConfig)
     add_grid(p)
-    p.add_argument("--threshold", type=float, default=0.001,
+    p.add_argument("--threshold", type=float, default=RunConfig.threshold,
                    help="display threshold for partition probabilities")
 
     p = sub.add_parser("pool-all", allow_abbrev=False, help="complete-pooling baseline only")
-    add_common(p)
+    add_common(p, RunConfig)
     add_grid(p)
 
     p = sub.add_parser("dpm", allow_abbrev=False, help="Dirichlet-process-mixture baseline")
-    add_common(p)
-    p.add_argument("--m", type=float, default=3.0, help="DP concentration")
+    add_common(p, DpmConfig)
+    p.add_argument("--m", type=float, default=DpmConfig.m, help="DP concentration")
     chain_only = f"; only inputs with L > {DPM_QUADRATURE_MAX_L} run the chain and read it"
-    p.add_argument("--iterations", type=int, default=12000,
+    p.add_argument("--iterations", type=int, default=DpmConfig.iterations,
                    help="Gibbs sweeps" + chain_only)
-    p.add_argument("--burn-in", type=int, default=2000, dest="burn_in",
+    p.add_argument("--burn-in", type=int, default=DpmConfig.burn_in, dest="burn_in",
                    help="sweeps discarded before keeping draws" + chain_only)
-    p.add_argument("--thin", type=int, default=1, help="keep every thin-th sweep" + chain_only)
+    p.add_argument("--thin", type=int, default=DpmConfig.thin,
+                   help="keep every thin-th sweep" + chain_only)
 
     p = sub.add_parser("simulate", allow_abbrev=False, help="run a replicated sampling study")
     p.add_argument("--scenario", required=True, help="key = value scenario file")
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partitions", allow_abbrev=False, help="list set partitions")
     p.add_argument("--l", type=int, required=True, help="number of sources")
     p.add_argument("--input", help="optional CSV input; attaches posterior masses")
-    p.add_argument("--r", type=int, default=2000)
+    p.add_argument("--r", type=int, default=RunConfig.r)
     p.add_argument("--output", help="output file (default: stdout)")
     return parser
 
@@ -135,7 +135,8 @@ def _cmd_dpm(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .simulation import run_scenario   # only this command needs the harness
+    # only this command needs the harness
+    from .simulation import parse_scenario, run_scenario, sim_report_csv, sim_report_json
 
     scenario = parse_scenario(args.scenario)
     report = run_scenario(scenario, n_jobs=args.n_jobs)

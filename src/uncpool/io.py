@@ -1,12 +1,15 @@
-"""Input parsing, run configuration, and report serialization.
+"""Survey inputs and analysis reports: parsing, run configuration, serialization.
 
 Input files are comma-delimited with a header of either
 ``label,estimate,se`` (summary form) or ``label,cases,total`` (binomial
 form, converted to the logit scale on ingestion).  Every variance V must
 be positive, and the precisions 1/V must have a finite sum; the error
-names the line at which that sum first overflows.  Reports serialize to
-JSON (canonical, round-trips byte-identically), CSV, or markdown; their
-per-source rows are built by :func:`survey_rows`, keyed by ``_ROW_KEYS``.
+names the line at which that sum first overflows.  Each record must fit
+on one line, so a quoted field holding a line break is refused at its
+first line, and every error names the line of the file it is on.
+Reports serialize to JSON (canonical, round-trips byte-identically), CSV,
+or markdown; their per-source rows are built by :func:`survey_rows`,
+keyed by ``_ROW_KEYS``.
 """
 
 from __future__ import annotations
@@ -17,54 +20,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
 from .model import SurveyData
 
-if TYPE_CHECKING:  # imported where a scenario is built, so other commands skip it
-    from .simulation import SimReport, SimScenario
-
 SUMMARY_HEADER = ("label", "estimate", "se")
 BINOMIAL_HEADER = ("label", "cases", "total")
-
-
-@dataclass(frozen=True)
-class InputRecord:
-    """One parsed input row: summary (estimate, se) or binomial (cases, total).
-
-    The two forms are mutually exclusive per record; a file uses one form
-    throughout, fixed by its header.
-    """
-
-    label: str
-    estimate: float | None = None
-    se: float | None = None
-    cases: int | None = None
-    total: int | None = None
-
-    def __post_init__(self):
-        summary = self.estimate is not None or self.se is not None
-        binomial = self.cases is not None or self.total is not None
-        if summary == binomial:
-            raise DomainError("record must be summary or binomial, not both")
-        if summary:
-            if self.estimate is None or self.se is None or not math.isfinite(self.estimate):
-                raise DomainError("summary record needs finite estimate and se")
-            if not (self.se > 0 and 0 < self.se * self.se < math.inf):
-                raise DomainError(f"se must be > 0 with a finite, nonzero square; got {self.se}")
-        else:
-            if self.cases is None or self.total is None:
-                raise DomainError("binomial record needs cases and total")
-            if self.total < 1 or not 0 <= self.cases <= self.total:
-                raise DomainError(f"need 0 <= cases <= total, total >= 1; "
-                                  f"got cases={self.cases}, total={self.total}")
-
-    def to_moments(self) -> tuple[float, float]:
-        """(estimate, variance) on the analysis scale."""
-        if self.estimate is not None:
-            return self.estimate, self.se * self.se
-        return logit_transform(self.cases, self.total)
 
 
 def logit_transform(y: int, n: int) -> tuple[float, float]:
@@ -104,10 +65,16 @@ def parse_input(source) -> SurveyData:
     line number on malformed input, and on the line at which the sum of the
     precisions 1/V first overflows.
     """
-    lines = _read_lines(source)
-    rows = list(csv.reader(lines))
-    rows = [(i + 1, [c.strip() for c in row]) for i, row in enumerate(rows)
-            if any(c.strip() for c in row)]
+    reader = csv.reader(_read_lines(source))
+    rows, last = [], 0
+    for row in reader:
+        first, last = last + 1, reader.line_num
+        if first != last:
+            raise ParseError(f"a quoted field runs from line {first} to line {last}; "
+                             "a record must fit on one line", line=first)
+        row = [c.strip() for c in row]
+        if any(row):
+            rows.append((first, row))
     if not rows:
         raise ParseError("no records")
     header_line, header = rows[0]
@@ -136,11 +103,15 @@ def parse_input(source) -> SurveyData:
             raise ParseError(f"label {label!r} repeats line {first_seen[label]}", line=line_no)
         first_seen[label] = line_no
         try:
-            if form == "summary":
-                rec = InputRecord(label=label, estimate=float(row[1]), se=float(row[2]))
+            if form == "binomial":
+                estimate, v = logit_transform(int(row[1]), int(row[2]))
             else:
-                rec = InputRecord(label=label, cases=int(row[1]), total=int(row[2]))
-            estimate, v = rec.to_moments()
+                estimate, se = float(row[1]), float(row[2])
+                v = se * se
+                if not math.isfinite(estimate):
+                    raise DomainError("summary record needs finite estimate and se")
+                if not (se > 0 and 0 < v < math.inf):
+                    raise DomainError(f"se must be > 0 with a finite, nonzero square; got {se}")
         except DomainError as exc:
             raise ParseError(str(exc), line=line_no) from None
         except ValueError:
@@ -308,71 +279,3 @@ def render_report(doc: ReportDocument, fmt: str) -> str:
     if fmt == "md":
         return render_markdown(doc)
     raise DomainError(f"unknown output format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# scenario files and simulation reports
-# ---------------------------------------------------------------------------
-
-_SCENARIO_KEYS = {"psi1": float, "psi2": float, "v1": float, "v2": float,
-                  "delta_shift": float, "reps": int, "r": int, "b": int,
-                  "base_seed": int}
-
-
-def parse_scenario(source) -> SimScenario:
-    """Parse a flat ``key = value`` scenario file.
-
-    Recognized keys: psi1, psi2, v1, v2, delta_shift (alias: delta), reps,
-    r, b, base_seed.  Lines starting with ``#`` are comments.  A key given
-    twice, under either name, is a ParseError naming both lines.
-    """
-    lines = _read_lines(source)
-    kwargs: dict = {}
-    first_seen: dict[str, int] = {}
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", line=i)
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        if key == "delta":
-            key = "delta_shift"
-        if key not in _SCENARIO_KEYS:
-            raise ParseError(f"unknown scenario key {key!r}", line=i)
-        if key in first_seen:
-            raise ParseError(f"{key} is set again; first set on line {first_seen[key]}", line=i)
-        first_seen[key] = i
-        try:
-            kwargs[key] = _SCENARIO_KEYS[key](val.strip())
-        except ValueError:
-            raise ParseError(f"bad value for {key}: {val.strip()!r}", line=i) from None
-    from .simulation import SimScenario
-    return SimScenario(**kwargs)
-
-
-def sim_report_json(report: SimReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def sim_report_csv(report: SimReport) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    head = (["delta_shift", "reps", "base_seed"]
-            + [f"median_p_g{k}" for k in range(1, 6)]
-            + [f"coverage_{i}" for i in (1, 2, 3)]
-            + [f"coverage_se_{i}" for i in (1, 2, 3)]
-            + [f"median_post_mean_{i}" for i in (1, 2, 3)]
-            + [f"median_post_sd_{i}" for i in (1, 2, 3)]
-            + [f"median_sd_reduction_{i}" for i in (1, 2, 3)])
-    w.writerow(head)
-    s = report.scenario
-    w.writerow([repr(s.delta_shift), s.reps, s.base_seed]
-               + [repr(x) for x in report.median_p_g]
-               + [repr(x) for x in report.coverage]
-               + [repr(x) for x in report.coverage_se]
-               + [repr(x) for x in report.median_post_mean]
-               + [repr(x) for x in report.median_post_sd]
-               + [repr(x) for x in report.median_sd_reduction])
-    return buf.getvalue()

@@ -10,16 +10,20 @@ order.
 
 from __future__ import annotations
 
+import csv
+import io as _io
+import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .grid import (DeltaGrid, build_grid, covers95, evaluate_joint, exact_mixture_moments,
                    marginal_g)
+from .io import _read_lines
 from .model import SurveyData
 from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
 
@@ -226,3 +230,67 @@ def run_scenario(s: SimScenario, n_jobs: int = 1) -> SimReport:
         coverage_se=tuple(float(x) for x in cov_se),
         median_sd_reduction=reductions,
     )
+
+
+# ---------------------------------------------------------------------------
+# scenario files and simulation reports
+# ---------------------------------------------------------------------------
+
+def parse_scenario(source) -> SimScenario:
+    """Parse a flat ``key = value`` scenario file.
+
+    Recognized keys are the fields of :class:`SimScenario`, each read as the
+    type of its default, and ``delta``, an alias of delta_shift.  Lines
+    starting with ``#`` are comments.  A key given twice, under either name,
+    is a ParseError naming both lines.
+    """
+    types = {f.name: type(f.default) for f in fields(SimScenario)}
+    lines = _read_lines(source)
+    kwargs: dict = {}
+    first_seen: dict[str, int] = {}
+    for i, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {line!r}", line=i)
+        key, _, val = line.partition("=")
+        key = key.strip().lower()
+        if key == "delta":
+            key = "delta_shift"
+        if key not in types:
+            raise ParseError(f"unknown scenario key {key!r}", line=i)
+        if key in first_seen:
+            raise ParseError(f"{key} is set again; first set on line {first_seen[key]}", line=i)
+        first_seen[key] = i
+        try:
+            kwargs[key] = types[key](val.strip())
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {val.strip()!r}", line=i) from None
+    return SimScenario(**kwargs)
+
+
+def sim_report_json(report: SimReport) -> str:
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def sim_report_csv(report: SimReport) -> str:
+    buf = _io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    head = (["delta_shift", "reps", "base_seed"]
+            + [f"median_p_g{k}" for k in range(1, 6)]
+            + [f"coverage_{i}" for i in (1, 2, 3)]
+            + [f"coverage_se_{i}" for i in (1, 2, 3)]
+            + [f"median_post_mean_{i}" for i in (1, 2, 3)]
+            + [f"median_post_sd_{i}" for i in (1, 2, 3)]
+            + [f"median_sd_reduction_{i}" for i in (1, 2, 3)])
+    w.writerow(head)
+    s = report.scenario
+    w.writerow([repr(s.delta_shift), s.reps, s.base_seed]
+               + [repr(x) for x in report.median_p_g]
+               + [repr(x) for x in report.coverage]
+               + [repr(x) for x in report.coverage_se]
+               + [repr(x) for x in report.median_post_mean]
+               + [repr(x) for x in report.median_post_sd]
+               + [repr(x) for x in report.median_sd_reduction])
+    return buf.getvalue()

@@ -299,11 +299,15 @@ def test_dpm_quadrature_endpoints_solve_the_unpruned_mixture():
 
 def test_dpm_quadrature_moves_with_a_shift_and_permutes_with_the_sources():
     data = make_orange(0.089)
-    base = reported(dpm_quadrature(data, DpmConfig()))
-    moved = SurveyData(data.labels, data.y_hat + 1e6, data.v)
-    shifted = reported(dpm_quadrature(moved, DpmConfig()))
-    shifted[[0, 2, 3]] -= 1e6
-    assert np.max(np.abs(shifted - base)) < 1e-8     # 1e6 carries about 1e-10 of rounding
+    # equal estimates take the hyperprior fallbacks, which must not depend on the offset
+    equal = SurveyData(["a", "b", "c"], [0.3, 0.3, 0.3], np.array([0.014, 0.028, 0.028]) ** 2)
+    for sample in (equal, data):
+        base = reported(dpm_quadrature(sample, DpmConfig()))
+        moved = SurveyData(sample.labels, sample.y_hat + 1e6, sample.v)
+        shifted = reported(dpm_quadrature(moved, DpmConfig()))
+        shifted[[0, 2, 3]] -= 1e6
+        assert np.max(np.abs(shifted - base)) < 1e-8     # 1e6 carries about 1e-10 of rounding
+    # base is now the Orange panel's
     order = [2, 0, 1]
     flipped = SurveyData([data.labels[i] for i in order], data.y_hat[order], data.v[order])
     assert np.max(np.abs(reported(dpm_quadrature(flipped, DpmConfig())) - base[:, order])) < 1e-12
@@ -350,9 +354,12 @@ def test_dpm_quadrature_validates_like_the_chain():
 def test_dpm_hyperprior_fallbacks_and_overflow():
     short = DpmConfig(iterations=30, burn_in=10)
     v = np.array([0.01, 0.002, 0.03])
-    equal = SurveyData(["a", "b", "c"], [0.42, 0.42, 0.42], v)
-    for res in (dpm_gibbs(equal, short).resolved, dpm_quadrature(equal, short).resolved):
-        assert res["s_b"] == res["phi2"] == float(v.mean())   # zero range and zero variance
+    # np.var of three equal values is exactly 0 at 0.42, but 1.8e-32 at 0.7, 4.7e-30 at
+    # 12.3 and 2.0e-20 at 1e6 + 0.3, which as phi2 would pin tau2 near 0
+    for y in (0.42, 0.7, 12.3, 1e6 + 0.3):
+        equal = SurveyData(["a", "b", "c"], [y, y, y], v)
+        for res in (dpm_gibbs(equal, short).resolved, dpm_quadrature(equal, short).resolved):
+            assert res["s_b"] == res["phi2"] == float(v.mean())   # zero range and variance
     single = SurveyData(["a"], [0.3], [0.01])
     for res in (dpm_gibbs(single, short).resolved, dpm_quadrature(single, short).resolved):
         assert res["phi2"] == 0.01                            # no sample variance at L = 1

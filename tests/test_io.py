@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncpool import (DomainError, InputRecord, ParseError, ReportDocument,
+from uncpool import (DomainError, ParseError, ReportDocument,
                      RunConfig, SurveyData, build_grid, enumerate_partitions,
                      evaluate_joint, exact_mixture_moments, input_echo,
                      logit_transform, parse_input, parse_scenario, sample_mu)
-from uncpool.io import render_csv, render_markdown, render_report, sim_report_csv, sim_report_json
+from uncpool.io import render_csv, render_markdown, render_report
+from uncpool.simulation import sim_report_csv, sim_report_json
 
 
 # ---------------------------------------------------------------------------
@@ -54,21 +55,6 @@ def test_logit_domain():
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
-
-def test_input_record_forms_are_mutually_exclusive():
-    summary = InputRecord(label="A", estimate=0.2, se=0.05)
-    assert summary.to_moments() == (0.2, pytest.approx(0.0025))
-    binom = InputRecord(label="B", cases=50, total=100)
-    assert binom.to_moments() == (0.0, 0.04)
-    with pytest.raises(DomainError):
-        InputRecord(label="C", estimate=0.2, se=0.05, cases=1, total=2)
-    with pytest.raises(DomainError):
-        InputRecord(label="C")
-    with pytest.raises(DomainError):
-        InputRecord(label="C", estimate=0.2, se=0.0)
-    with pytest.raises(DomainError):
-        InputRecord(label="C", cases=3, total=2)
-
 
 def test_parse_summary_form():
     src = io.StringIO("label,estimate,se\nS1,0.254,0.014\nS2,0.361,0.028\n")
@@ -124,6 +110,13 @@ def test_parse_errors_carry_line_numbers():
         parse_input(io.StringIO("label,cases,total\nA,5,10\nB,11,10\n"))
     with pytest.raises(ParseError, match="line 2"):
         parse_input(io.StringIO("label,cases,total\nA,5.5,10\n"))
+    # a quoted line break would join the label into "AB" and misnumber every later line
+    with pytest.raises(ParseError, match="^line 2: a quoted field runs from line 2 to line 3"):
+        parse_input(io.StringIO('label,estimate,se\n"A\nB",0.2,0.01\nC,0.3,x\n'))
+    with pytest.raises(ParseError, match="^line 4: a quoted field runs from line 4 to line 5"):
+        parse_input(io.StringIO('label,estimate,se\nA,0.2,0.01\n\nB,0.3,"0.02\n"\n'))
+    with pytest.raises(ParseError, match="^line 4: non-numeric fields in '0.3','x'$"):
+        parse_input(io.StringIO('label,estimate,se\nA,0.2,0.01\n\nC,0.3,x\n'))
 
 
 def test_parse_from_path(tmp_path):

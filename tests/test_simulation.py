@@ -10,8 +10,8 @@ from uncpool import (DELTA_STEP, DomainError, SimScenario, build_grid, enumerate
                      evaluate_joint, generate_replicate, parse_scenario, run_scenario,
                      sd_reduction)
 from uncpool import grid, kernels, simulation
-from uncpool.io import sim_report_csv, sim_report_json
-from uncpool.simulation import MIN_REPS_PER_WORKER, _run_replicate, median
+from uncpool.simulation import (MIN_REPS_PER_WORKER, _run_replicate, median, sim_report_csv,
+                                sim_report_json)
 
 
 def small_scenario(**kw):

@@ -11,6 +11,10 @@ importable, and writes into OUTDIR:
 - ``dpm`` through the Gibbs chain on an L=7 input;
 - ``pool --r 200 --threshold 0`` on an L=8 input;
 - ``pool`` and ``dpm`` on three equal estimates and on an L=1 input;
+- ``dpm`` in json at seed 0 on three equal estimates of 0.7, where a
+  sample variance of equal values is not exactly 0;
+- ``pool`` on a binomial (``label,cases,total``) input with a row of 0
+  cases, through the logit transform and its boundary correction;
 - ``pool``, ``pool-all`` and ``dpm`` in json at seed 0 on the Dixie panel
   with the CDC SE equal to the HS SE, every estimate offset by 1e6, so
   that no estimate lies below 1;
@@ -47,9 +51,13 @@ EXTRA_INPUTS = {
     "wide_7": _wide(7),
     "wide_8": _wide(8),
     "equal_3": ((0.3, 0.3, 0.3), (0.02, 0.03, 0.04)),
+    "equal_0.7": ((0.7, 0.7, 0.7), (0.014, 0.028, 0.028)),
     "single_1": ((0.3,), (0.02,)),
     "dixie_1.0_plus_1e6": (tuple(1e6 + y for y in PANELS[1][1]), PANELS[1][2]),
 }
+
+#: (label, cases, total) rows of the binomial input; the first sits at the 0-case boundary.
+COUNTS = (("a", 0, 40), ("b", 12, 50), ("c", 30, 45))
 
 SCENARIO = "reps = 40\nbase_seed = 20260809\ndelta_shift = 0.0386\n"
 
@@ -76,6 +84,9 @@ def _runs(inputs: Path, out: Path):
     for name in ("equal_3", "single_1"):
         for cmd in ("pool", "dpm"):
             yield [cmd, "--input", extra[name]], out / f"{cmd}-{name}.json"
+    yield (["dpm", "--input", extra["equal_0.7"], "--seed", "0", "--format", "json"],
+           out / "dpm-equal_0.7-s0.json")
+    yield ["pool", "--input", str(inputs / "counts_3.csv")], out / "pool-counts_3.json"
     for cmd in ("pool", "pool-all", "dpm"):
         yield ([cmd, "--input", extra["dixie_1.0_plus_1e6"], "--seed", "0", "--format", "json"],
                out / f"{cmd}-dixie_1.0_plus_1e6-s0.json")
@@ -93,6 +104,8 @@ def write_matrix(outdir: Path) -> int:
         _write_input(inputs / f"{name}.csv", y, se)
     for name, (y, se) in EXTRA_INPUTS.items():
         _write_input(inputs / f"{name}.csv", y, se)
+    counts = "".join(f"{label},{cases},{total}\n" for label, cases, total in COUNTS)
+    (inputs / "counts_3.csv").write_text("label,cases,total\n" + counts, encoding="utf-8")
     (inputs / "scenario.txt").write_text(SCENARIO, encoding="utf-8")
     runs = list(_runs(inputs, reports))
     for argv, target in runs:
