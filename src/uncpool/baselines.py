@@ -56,22 +56,20 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     of the partition-averaged posterior; mean and SD come from the exact
     mixture, the 95% interval from ``b`` draws.  The conditional moments
     are read from the full-set row of the subset table and of 1/A_S in
-    the posterior's V-only terms.  Without ``jp``, only the table and the
-    subset recursion are built; no partition is enumerated.
+    the posterior's V-only terms.  Without ``jp``, the posterior of
+    ``grid.evaluate_joint`` is built, with no partition enumerated.
     """
     if data.l < 2:
         raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
     if b < 1:
         raise DomainError(f"draw count must be >= 1, got {b}")
     if jp is None:
-        solved = _solve(data, grid)
-        table, weights = solved["table"], solved["delta2_probs"]
-    else:
-        _check_sources(data, jp)
-        if not np.array_equal(jp.grid.deltas2, grid.deltas2):
-            raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
-                              f"not on this R={grid.r} grid")
-        table, weights = jp.table, jp.delta2_probs
+        jp = _solve(data, grid)
+    _check_sources(data, jp)
+    if not np.array_equal(jp.grid.deltas2, grid.deltas2):
+        raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
+                          f"not on this R={grid.r} grid")
+    table, weights = jp.table, jp.delta2_probs
     shift = table.shift
     mean_c, var_c = table.ybar[-1], table.terms.inv_a[-1]
     mean = float((weights * mean_c).sum())

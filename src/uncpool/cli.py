@@ -176,10 +176,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except UncpoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UncpoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

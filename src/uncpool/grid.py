@@ -87,14 +87,12 @@ class JointGridPosterior:
     ``block_mass`` W[S, j], the posterior probability that S is a block
     and the cell is j (summed over the subsets holding any one source, W
     gives p(j)).  ``log_cell`` is log(c_j / Bell(L)), the part of a cell's
-    log weight that no block owns.  ``space`` is the full partition space,
-    which the lattice view refers to.  ``y_hat`` and ``v`` are the data
-    the posterior was built from; ``table.terms`` holds the V-only arrays
-    of ``kernels.variance_terms``.
+    log weight that no block owns.  ``y_hat`` and ``v`` are the data the
+    posterior was built from; ``table.terms`` holds the V-only arrays of
+    ``kernels.variance_terms``.
     """
 
     grid: DeltaGrid
-    space: PartitionSpace
     table: kernels.SubsetTable
     log_evidence: float
     phi: np.ndarray            # (2^L, R) phi(S, j); 0 for the empty set, never a block
@@ -104,6 +102,11 @@ class JointGridPosterior:
     delta2_probs: np.ndarray   # (R,) p(j)
     y_hat: np.ndarray          # (L,)
     v: np.ndarray              # (L,)
+
+    @cached_property
+    def space(self) -> PartitionSpace:
+        """The full partition space of the L sources, built on first read."""
+        return PartitionSpace(self.y_hat.size)
 
     @cached_property
     def log_mass(self) -> np.ndarray:
@@ -119,8 +122,8 @@ class JointGridPosterior:
         return lm
 
 
-def _solve(data: SurveyData, grid: DeltaGrid) -> dict:
-    """The fields of :class:`JointGridPosterior` but ``space``.
+def _solve(data: SurveyData, grid: DeltaGrid) -> JointGridPosterior:
+    """The posterior of ``data`` on ``grid``; :func:`evaluate_joint` less its check.
 
     ybar, q, phi, Z and W are the rows of one (5, 2^L, R) array, each
     written in place; phi's row serves as scratch until it is filled.
@@ -143,8 +146,8 @@ def _solve(data: SurveyData, grid: DeltaGrid) -> dict:
     p = np.exp(log_w - log_evidence)
     np.multiply(phi, z[::-1], out=w)          # row S of z[::-1] is Z(full - S)
     w *= p / z[-1]
-    return dict(grid=grid, table=table, log_evidence=log_evidence, phi=phi, z=z,
-                block_mass=w, log_cell=log_cell, delta2_probs=p, y_hat=y, v=v)
+    return JointGridPosterior(grid=grid, table=table, log_evidence=log_evidence, phi=phi, z=z,
+                              block_mass=w, log_cell=log_cell, delta2_probs=p, y_hat=y, v=v)
 
 
 def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid) -> JointGridPosterior:
@@ -156,11 +159,11 @@ def evaluate_joint(data: SurveyData, space: PartitionSpace, grid: DeltaGrid) -> 
     - log Bell(L), the log of the mean kernel weight over partitions,
     summed over cells.  ``space`` must be the full enumeration of the L
     sources, which every ``PartitionSpace`` is; only its L is checked
-    against the data.
+    against the data, and the posterior does not keep it.
     """
     if data.l != space.l:
         raise DomainError(f"data has L={data.l} but partition space has L={space.l}")
-    return JointGridPosterior(space=space, **_solve(data, grid))
+    return _solve(data, grid)
 
 
 def marginal_g(jp: JointGridPosterior) -> np.ndarray:
@@ -256,7 +259,7 @@ def _peel(jp: JointGridPosterior, first: np.ndarray, cols: np.ndarray,
     share a pair, so this beats gathering a CDF row per draw: about 2x at
     L = 3, R = 2000 and 12x at L = 8, R = 200, for 5000 draws.
     """
-    l, r = jp.space.l, jp.grid.r
+    l, r = jp.y_hat.size, jp.grid.r
     splits = kernels.subset_splits(l)
     weight = _block_codes(l)
     phi, z = jp.phi.ravel(), jp.z.ravel()
@@ -382,8 +385,8 @@ _ROUNDING = 1e-9
 
 def _check_sources(data: SurveyData, jp: JointGridPosterior) -> None:
     """Refuse data other than those ``jp`` was built from."""
-    if data.l != jp.space.l:
-        raise DomainError(f"data has L={data.l} but the posterior was built for L={jp.space.l}")
+    if data.l != jp.y_hat.size:
+        raise DomainError(f"data has L={data.l} but the posterior was built for L={jp.y_hat.size}")
     # SurveyData owns read-only arrays, so the same array means the same values
     differ = [name for name, ours, theirs in (("estimates", data.y_hat, jp.y_hat),
                                               ("variances", data.v, jp.v))
@@ -517,7 +520,7 @@ def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.nda
     source being the last block (Z of a single source is its phi), and
     its mass is the exact p(pi).
     """
-    l = jp.space.l
+    l = jp.y_hat.size
     splits = kernels.subset_splits(l)
     weight = _block_codes(l)
     cut = threshold * (1.0 - 1e-12)

@@ -109,7 +109,7 @@ def parse_input(source) -> SurveyData:
                 estimate, se = float(row[1]), float(row[2])
                 v = se * se
                 if not math.isfinite(estimate):
-                    raise DomainError("summary record needs finite estimate and se")
+                    raise DomainError(f"estimate must be finite, got {estimate}")
                 if not (se > 0 and 0 < v < math.inf):
                     raise DomainError(f"se must be > 0 with a finite, nonzero square; got {se}")
         except DomainError as exc:

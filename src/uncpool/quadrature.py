@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .baselines import DpmConfig, _dpm_blocks, _dpm_hyperpriors
+from .errors import DomainError
 from .grid import _TAILS
 from .model import SurveyData
 
@@ -82,6 +83,10 @@ def _dpm_axes(data: SurveyData, res: dict, cfg: DpmConfig, n: int,
         sd *= math.sqrt(2.0 * math.log(1.0 / _BOX_TAIL))
         eta, h = _midpoints(min(eta_b, data.y_hat.min()) - sd,
                             max(eta_b, data.y_hat.max()) + sd, n, widen)
+        if not np.all(h > 0):
+            raise DomainError(f"estimates of magnitude {np.abs(data.y_hat).max():g} are too "
+                              "large for the DPM quadrature: its eta box is narrower than "
+                              "the float spacing there, so its cells have no width")
         lw = -0.5 * (eta - eta_b) ** 2 / s_b + (lw_t + np.log(h))[None, :]
     return eta.ravel(), np.broadcast_to(tau2, eta.shape).ravel(), lw.ravel()
 

@@ -89,24 +89,13 @@ class SimScenario:
         return np.array([self.v1, self.v2, self.v2])
 
 
-def _rep_seeds(base_seed: int, rep_index: int) -> np.random.SeedSequence:
-    """Deterministic data seed of one replicate.
-
-    Child 0 of the replicate's sequence, as in versions that also spawned a
-    draw seed, so a base seed keeps giving the same estimates.
-    """
-    return np.random.SeedSequence(base_seed, spawn_key=(rep_index, 0))
-
-
 def generate_replicate(s: SimScenario, rep_index: int) -> SurveyData:
     """Draw one replicate's estimates from the generating model."""
     if not 0 <= rep_index < s.reps:
         raise DomainError(f"rep_index {rep_index} outside 0..{s.reps - 1}")
-    return _replicate_data(s, _rep_seeds(s.base_seed, rep_index))
-
-
-def _replicate_data(s: SimScenario, data_ss: np.random.SeedSequence) -> SurveyData:
-    rng = np.random.default_rng(data_ss)
+    # Child 0 of the replicate's sequence, as in versions that also spawned a
+    # draw seed, so a base seed keeps giving the same estimates.
+    rng = np.random.default_rng(np.random.SeedSequence(s.base_seed, spawn_key=(rep_index, 0)))
     y = rng.normal(s.truth, np.sqrt(s.variances))
     return SurveyData(labels=("survey_1", "survey_2", "survey_3"), y_hat=y, v=s.variances)
 
@@ -155,7 +144,7 @@ def _run_replicate(s: SimScenario, rep_index: int) -> dict:
     those of the full ``grid.mixture_cdf``.
     """
     space, grid, order = _shared(s.r)
-    data = _replicate_data(s, _rep_seeds(s.base_seed, rep_index))
+    data = generate_replicate(s, rep_index)
     jp = evaluate_joint(data, space, grid)
     mean, sd = exact_mixture_moments(data, jp)
     return {

@@ -220,6 +220,8 @@ def test_dpm_exact_translation_invariance(shift):
 def test_dpm_exact_rejects_bad_concentration(m):
     with pytest.raises(DomainError):
         dpm_exact(make_dixie(1.0), eta=0.31, tau2=0.0025, m=m)
+    with pytest.raises(DomainError, match="tau2 must be > 0"):   # m's values are bad tau2 too
+        dpm_exact(make_dixie(1.0), eta=0.31, tau2=m, m=1.0)
 
 
 def test_dpm_exact_enumeration_bound():

@@ -141,6 +141,23 @@ def test_estimates_near_the_float_range_with_small_ses_pool(tmp_path):
     assert results["pool-all"]["pool_all"]["mean"] == 1e300
 
 
+def test_dpm_refuses_estimates_whose_eta_box_has_no_width(tmp_path, capsys):
+    # at 1e300 the eta box is narrower than one float spacing, so its cells have width 0
+    f = tmp_path / "in.csv"
+    f.write_text(SUMMARY + "A,1e300,0.014\nB,1e300,0.028\nC,1e300,0.028\n", encoding="utf-8")
+    out = tmp_path / "dpm.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command(["dpm", "--input", str(f), "--output", str(out)]) == 1
+    assert not out.exists()
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "eta box" in err[0], err
+    for cmd in ("pool", "pool-all"):
+        assert run_command([cmd, "--input", str(f), "--r", "200", "--b", "500",
+                            "--output", str(tmp_path / f"{cmd}.json")]) == 0
+
+
 def test_pool_all_command(dixie_file, tmp_path):
     out = tmp_path / "pa.json"
     assert run_command(["pool-all", "--input", str(dixie_file), "--r", "400",

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -81,7 +82,6 @@ def test_joint_normalization(dixie_panel1):
 def test_uniform_mass_gives_uniform_marginal():
     # q_S = |S| - 1 makes every partition's block product e^(-L/2), so with equal
     # cell factors every (partition, cell) pair carries the same mass
-    space = enumerate_partitions(3)
     grid = build_grid(8)
     size = np.array([bin(s).count("1") for s in range(8)])[:, None] * np.ones(8)
     v = np.ones(3)              # the terms are not read here; the table is not built from them
@@ -93,9 +93,11 @@ def test_uniform_mass_gives_uniform_marginal():
     assert z[-1] == pytest.approx([5 * math.exp(-1.5)] * 8, rel=1e-15)
     log_cell = np.full(8, -math.log(8 * 5 * math.exp(-1.5)))
     p = np.full(8, 1 / 8)
-    jp = JointGridPosterior(grid=grid, space=space, table=table, log_evidence=0.0, phi=phi,
+    jp = JointGridPosterior(grid=grid, table=table, log_evidence=0.0, phi=phi,
                             z=z, block_mass=phi * z[::-1] * (p / z[-1]), log_cell=log_cell,
                             delta2_probs=p, y_hat=np.zeros(3), v=v)
+    assert "space" not in {f.name for f in fields(JointGridPosterior)}
+    assert jp.space == enumerate_partitions(3)   # built from the data's L on first read
     assert marginal_g(jp) == pytest.approx([0.2] * 5, abs=1e-12)
     assert marginal_delta2(jp) == pytest.approx([1 / 8] * 8, abs=1e-12)
     assert np.exp(jp.log_mass).sum(axis=1) == pytest.approx([0.2] * 5, abs=1e-12)
@@ -394,6 +396,13 @@ def test_covers95_is_unmoved_by_a_shift(full_cdf_calls):
         f = mixture_cdf(data, jp, x)
         assert np.array_equal(want, (f >= 0.025) & (f <= 0.975))
     assert full_cdf_calls == []
+
+
+@pytest.mark.parametrize("b", [0, -3])
+def test_sample_mu_rejects_bad_draw_count(dixie_panel1, b):
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(40))
+    with pytest.raises(DomainError, match="draw count must be >= 1"):
+        sample_mu(dixie_panel1, jp, b, seed=0)
 
 
 def test_posterior_for_another_l_is_refused():

@@ -99,6 +99,12 @@ def test_parse_errors_carry_line_numbers():
         parse_input(io.StringIO("label,estimate,se\nA,0.2,0.01\nB,0.3\n"))
     with pytest.raises(ParseError, match="line 2"):
         parse_input(io.StringIO("label,estimate,se\nA,x,0.01\n"))
+    with pytest.raises(ParseError, match="^line 3: empty label$"):
+        parse_input(io.StringIO("label,estimate,se\nA,0.2,0.01\n,0.2,0.02\n"))
+    with pytest.raises(ParseError, match="^line 2: estimate must be finite, got nan$"):
+        parse_input(io.StringIO("label,estimate,se\nA,nan,0.02\n"))
+    with pytest.raises(ParseError, match="^line 3: estimate must be finite, got -inf$"):
+        parse_input(io.StringIO("label,estimate,se\nA,0.2,0.01\nB,-inf,0.02\n"))
     # 1e-170 and 1e200 square to 0 and to inf; 1e-160 squares to a subnormal whose 1/V is inf
     for se in ("0", "1e-170", "1e200", "1e-160"):
         with pytest.raises(ParseError, match="line 2.*se"):

@@ -124,6 +124,11 @@ def test_survey_one_row_unaffected_by_other_cluster(dixie_panel1):
     assert cm.cov[0, 2] == 0.0
 
 
+def test_conditional_moments_rejects_a_partition_of_another_l(dixie_panel1):
+    with pytest.raises(DomainError, match="partition of 2 elements does not match L=3"):
+        conditional_moments(dixie_panel1, Partition((0, 1)), delta2=0.0004)
+
+
 def test_two_survey_cluster_closed_form():
     v = 0.02
     data = SurveyData(["a", "b"], [0.1, 0.5], [v, v])

@@ -108,6 +108,9 @@ def test_invalid_growth_strings_rejected():
         Partition((0, 2))
     with pytest.raises(DomainError):
         Partition(())
+    for clusters in ([(0, 1), (1, 2)], [(0,), (2,)]):   # overlapping; missing source 1
+        with pytest.raises(DomainError, match="disjointly cover"):
+            Partition.from_clusters(clusters, 3)
 
 
 def test_display_labels_l3():

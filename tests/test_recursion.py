@@ -168,6 +168,7 @@ def test_pool_pipeline_never_builds_the_lattice(monkeypatch):
     assert table.partition_probs and "log_mass" not in vars(jp)
     monkeypatch.setattr(baselines, "enumerate_partitions", refuse)
     assert pool_all(data, grid, b=500, seed=1).mean == pa.mean
+    assert "space" not in vars(jp)   # the posterior's partition space is never read
     monkeypatch.undo()
     # the draws' partition indices stay readable, built from the enumeration on demand
     assert np.array_equal(draws.g_indices, PartitionSpace(8).index_of_codes(draws.codes))
