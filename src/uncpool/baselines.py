@@ -9,13 +9,15 @@ IG(phi1/2, phi2/2).  The four hyperpriors come from the data and cannot be
 set (:func:`_dpm_hyperpriors`): eta_b is the precision-weighted mean of the
 estimates, s_b their squared range, phi1 = 2 and phi2 twice their sample
 variance; s_b and phi2 are the mean V where the estimates are all equal,
-as at L = 1.  At fixed base parameters (eta, tau2) the DPM is a product
-partition model, whose block scores :func:`_dpm_blocks` gives.  The
-``dpm`` command reports the posterior by quadrature over (eta, log tau2)
-(``quadrature.dpm_quadrature``) up to DPM_QUADRATURE_MAX_L sources, and
-from the collapsed Gibbs chain :func:`dpm_gibbs`, which is faster there,
-beyond.  The exact enumeration oracle :func:`dpm_exact` checks both at
-fixed base parameters.
+as at L = 1.  Like the grid analysis, every DPM quantity (the hyperpriors,
+the quadrature box, the chain and its summaries) is formed about the shift
+of ``kernels.centre``, which is added back once.  At fixed base parameters
+(eta, tau2) the DPM is a product partition model, whose block scores
+:func:`_dpm_blocks` gives.  The ``dpm`` command reports the posterior by
+quadrature over (eta, log tau2) (``quadrature.dpm_quadrature``) up to
+DPM_QUADRATURE_MAX_L sources, and from the collapsed Gibbs chain
+:func:`dpm_gibbs`, which is faster there, beyond.  The exact enumeration
+oracle :func:`dpm_exact` checks both at fixed base parameters.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ class DpmConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.thin < 1:
             raise DomainError("thin must be >= 1")
+        if self.iterations - self.burn_in <= self.thin:   # one draw has no sample SD
+            raise DomainError("the chain keeps 1 draw after burn_in and thin; it needs at least 2")
         if self.m <= 0:
             raise DomainError("concentration m must be > 0")
         if not np.isfinite(self.m):
@@ -174,23 +178,31 @@ class DpmDraws:
         return counts / counts.sum()
 
 
-def _dpm_hyperpriors(data: SurveyData, m: float) -> dict:
-    """``m`` and the module docstring's hyperpriors of ``data``, each checked usable."""
-    prec = 1.0 / data.v
+def _dpm_hyperpriors(data: SurveyData, m: float) -> tuple[dict, float, np.ndarray, float]:
+    """``m`` and the module docstring's hyperpriors of ``data``, each checked usable.
+
+    Every one is formed about the shift of ``kernels.centre``, as the grid
+    analysis is: the centred estimates yc, their range and sample
+    variance, and eta_c, the precision-weighted mean of yc (``centre``
+    again).  The echoed eta_b is shift + eta_c.  Also returns the shift,
+    yc and eta_c.
+    """
+    shift = kernels.centre(data.y_hat, data.v)
     with np.errstate(over="ignore", invalid="ignore"):   # the check below reports overflow
-        diff = data.y_hat.max() - data.y_hat.min()
+        yc = data.y_hat - shift
+        diff = yc.max() - yc.min()
         spread = float(diff ** 2)
         # equal estimates: np.var can leave a rounding residue such as 1.8e-32 at 0.7
-        var = float(np.var(data.y_hat, ddof=1)) if diff > 0 else 0.0
-        eta_b = float((data.y_hat * prec).sum() / prec.sum())
-    res = {"eta_b": eta_b,
+        var = float(np.var(yc, ddof=1)) if diff > 0 else 0.0
+    eta_c = kernels.centre(yc, data.v)
+    res = {"eta_b": shift + eta_c,
            "s_b": spread if spread > 0 else float(data.v.mean()),
            "phi1": 2.0,
            "phi2": 2.0 * var if var > 0 else float(data.v.mean())}
     for name, val in res.items():
         if not np.isfinite(val) or (name != "eta_b" and val <= 0):
             raise DomainError(f"hyperprior input {name}={val} is not usable")
-    return {"m": m, **res}
+    return {"m": m, **res}, shift, yc, eta_c
 
 
 def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
@@ -199,10 +211,13 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     Cluster assignments are updated from their posterior predictive weights
     with cluster values integrated out; cluster values, the base mean, and
     the base precision are then redrawn from their conjugate conditionals.
-    The concentration m stays fixed.  Reproducible given the seed.
+    The concentration m stays fixed.  Reproducible given the seed.  The
+    chain runs on the estimates less the shift of :func:`_dpm_hyperpriors`,
+    and the summaries are taken of its draws before the shift is added
+    back, so that offset data lose no digits.
     """
-    res = _dpm_hyperpriors(data, cfg.m)
-    eta0 = cfg.fixed_eta if cfg.fixed_eta is not None else res["eta_b"]
+    res, shift, yc, eta_c = _dpm_hyperpriors(data, cfg.m)
+    eta0 = cfg.fixed_eta - shift if cfg.fixed_eta is not None else eta_c
     tau20 = cfg.fixed_tau2 if cfg.fixed_tau2 is not None else res["phi2"] / res["phi1"]
 
     T, L = cfg.iterations, data.l
@@ -215,7 +230,7 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
         gammas[:, k - 1] = rng.gamma(res["phi1"] / 2.0 + k / 2.0, 1.0, size=T)
 
     z, theta, eta, tau2 = kernels.dpm_chain(
-        data.y_hat, data.v, res["m"], res["eta_b"], res["s_b"], res["phi2"], eta0, tau20,
+        yc, data.v, res["m"], eta_c, res["s_b"], res["phi2"], eta0, tau20,
         cfg.fixed_eta is None, cfg.fixed_tau2 is None,
         cfg.burn_in, cfg.thin,
         uniforms, norm_phi, norm_eta, gammas,
@@ -225,13 +240,13 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
         config=cfg,
         resolved=res,
         assignments=z,
-        theta=theta,
-        eta=eta,
+        theta=shift + theta,
+        eta=shift + eta,
         tau2=tau2,
-        post_mean=tuple(float(x) for x in theta.mean(axis=0)),
+        post_mean=tuple(float(x) for x in shift + theta.mean(axis=0)),
         post_sd=tuple(float(x) for x in theta.std(axis=0, ddof=1)),
-        ci_lower=tuple(float(x) for x in lo),
-        ci_upper=tuple(float(x) for x in hi),
+        ci_lower=tuple(float(x) for x in shift + lo),
+        ci_upper=tuple(float(x) for x in shift + hi),
     )
 
 

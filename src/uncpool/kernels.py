@@ -25,8 +25,10 @@ arrays the caller gives it.
 
 C - B^2/A cancels catastrophically when the estimates share a large offset,
 so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
-1983, "Algorithms for computing the sample variance").  The table stores
-``ybar`` centred and records the offset as ``shift``.
+1983, "Algorithms for computing the sample variance").  :func:`centre` is
+the one place that shift is computed.  The table stores ``ybar`` centred
+and records the offset as ``shift``; the DPM forms its hyperpriors, its
+quadrature box and its chain about the same shift.
 
 The model's weight of a (partition, grid point) pair is a per-point factor
 times a product over the partition's clusters of phi(S) = exp(-q_S/2 - 1/2)
@@ -145,6 +147,21 @@ def variance_terms(v: np.ndarray, deltas2: np.ndarray) -> VarianceTerms:
     return _cached_terms(*as_bytes)
 
 
+def centre(y, v) -> float:
+    """The precision-weighted mean of y: the shift every analysis is taken about.
+
+    y is scaled by 2^-k, k the binary exponent of max |y|, before it is
+    divided by V, so that y / V cannot overflow.  Short of underflow, a
+    power of two scales every rounding exactly, so the bits are those of
+    (y / v).sum() / (1 / v).sum() wherever that is finite.  An overflow
+    gives a non-finite shift without a numpy warning, for the caller's
+    finite check to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 2.0 ** -max(math.frexp(max(y.max(), -y.min()))[1], 0)
+        return float((y * s / v).sum() / (1.0 / v).sum()) / s
+
+
 def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     """Per-subset sums of the centred estimates on the delta2 grid.
 
@@ -162,15 +179,10 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
         out = np.empty((3, 1 << L, deltas2.shape[0]))
     sums, scratch = out[:2], out[2]
     ybar, q = sums                 # B and C, overwritten in place below
+    shift = centre(y, v)
     # Estimates near the float range overflow here; the posterior's finite
     # check reports them, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # y is scaled by 2^-k, k the binary exponent of max |y|, before it is
-        # divided by V, so that y / V cannot overflow.  Short of underflow, a
-        # power of two scales every rounding exactly, so the bits are those of
-        # (y / v).sum() / (1 / v).sum() wherever that is finite.
-        s = 2.0 ** -max(math.frexp(max(y.max(), -y.min()))[1], 0)
-        shift = float((y * s / v).sum() / (1.0 / v).sum()) / s
         yc = y - shift
         w = terms.w
         wy = scratch[:2 * L].reshape(2, L, -1)     # w y and w y^2 per source; 2L <= 2^L rows

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import kernels
 from .baselines import DpmConfig, _dpm_blocks, _dpm_hyperpriors
-from .errors import DomainError
 from .grid import _TAILS
 from .model import SurveyData
 
@@ -42,9 +41,9 @@ def _midpoints(lo, hi, n: int, widen: float) -> tuple[np.ndarray, np.ndarray]:
     return start + h * (np.arange(n) + 0.5).reshape((n,) + (1,) * h.ndim), h
 
 
-def _dpm_axes(data: SurveyData, res: dict, cfg: DpmConfig, n: int,
-              widen: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (C,) eta, tau2 and log node weight of the quadrature grid.
+def _dpm_axes(t: kernels.SubsetTable, yc: np.ndarray, eta_c: float, res: dict,
+              cfg: DpmConfig, n: int, widen: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (C,) eta less the shift, tau2 and log node weight of the quadrature grid.
 
     A free axis gets n midpoint nodes over a box that leaves at most
     ``_BOX_TAIL`` of the posterior past each end, scaled about its centre
@@ -55,14 +54,16 @@ def _dpm_axes(data: SurveyData, res: dict, cfg: DpmConfig, n: int,
     log tau2 falls like exp(-(a + 1/2) log tau2), and the box stops
     log(1/tail) / (a + 1/2) past log(phi2/2).
 
-    eta gets its own box in each tau2 column.  Given tau2 and a partition,
-    eta is normal.  Its mean lies between eta_b and a precision-weighted
-    mean of the estimates.  Its variance is at most min(s_b, 1/A + tau2),
-    where A = sum 1/V_i.  So the box spans [min(eta_b, min y),
-    max(eta_b, max y)] widened by z = sqrt(2 log(1/tail)) such SDs each
-    way.  A node weighs its prior density in (eta, log tau2), Jacobian
-    included, times its cell area; a fixed parameter is one node of
-    weight 1.
+    eta gets its own box in each tau2 column, about the shift of ``t``,
+    the delta2 = 0 subset table: ``yc`` are the estimates and ``eta_c``
+    is eta_b, both less that shift.  Given tau2 and a partition, eta is
+    normal.  Its mean lies between eta_c and a precision-weighted mean of
+    yc.  Its variance is at most min(s_b, 1/A + tau2), where A = sum 1/V_i
+    is the table's full-set row.  So the box spans [min(eta_c, min yc),
+    max(eta_c, max yc)] widened by z = sqrt(2 log(1/tail)) such SDs each
+    way, which is at least 2 z SDs wide.  A node weighs its prior density
+    in (eta, log tau2), Jacobian included, times its cell area; a fixed
+    parameter is one node of weight 1.
     """
     if cfg.fixed_tau2 is not None:
         log_t, lw_t = np.array([math.log(cfg.fixed_tau2)]), np.zeros(1)
@@ -76,18 +77,12 @@ def _dpm_axes(data: SurveyData, res: dict, cfg: DpmConfig, n: int,
         lw_t = -a * log_t - b * np.exp(-log_t) + math.log(h)
     tau2 = np.exp(log_t)
     if cfg.fixed_eta is not None:
-        eta, lw = np.full((1, tau2.size), float(cfg.fixed_eta)), lw_t[None, :]
+        eta, lw = np.full((1, tau2.size), cfg.fixed_eta - t.shift), lw_t[None, :]
     else:
-        eta_b, s_b = res["eta_b"], res["s_b"]
-        sd = np.sqrt(np.minimum(s_b, 1.0 / (1.0 / data.v).sum() + tau2))
+        sd = np.sqrt(np.minimum(res["s_b"], t.terms.inv_a[-1, 0] + tau2))
         sd *= math.sqrt(2.0 * math.log(1.0 / _BOX_TAIL))
-        eta, h = _midpoints(min(eta_b, data.y_hat.min()) - sd,
-                            max(eta_b, data.y_hat.max()) + sd, n, widen)
-        if not np.all(h > 0):
-            raise DomainError(f"estimates of magnitude {np.abs(data.y_hat).max():g} are too "
-                              "large for the DPM quadrature: its eta box is narrower than "
-                              "the float spacing there, so its cells have no width")
-        lw = -0.5 * (eta - eta_b) ** 2 / s_b + (lw_t + np.log(h))[None, :]
+        eta, h = _midpoints(min(eta_c, yc.min()) - sd, max(eta_c, yc.max()) + sd, n, widen)
+        lw = -0.5 * (eta - eta_c) ** 2 / res["s_b"] + (lw_t + np.log(h))[None, :]
     return eta.ravel(), np.broadcast_to(tau2, eta.shape).ravel(), lw.ravel()
 
 
@@ -110,10 +105,10 @@ def _dpm_mixture(data: SurveyData, cfg: DpmConfig, nodes: int, widen: float) -> 
     probability that S is a cluster and the base parameters are the
     node's, so over the S holding any one source it sums to 1.
     """
-    res = _dpm_hyperpriors(data, cfg.m)
-    eta, tau2, log_node = _dpm_axes(data, res, cfg, nodes, widen)
+    res, _, yc, eta_c = _dpm_hyperpriors(data, cfg.m)
     t = kernels.subset_table(data.y_hat, data.v, np.zeros(1))
-    score, mean, var = _dpm_blocks(t, eta - t.shift, tau2, res["m"])
+    eta, tau2, log_node = _dpm_axes(t, yc, eta_c, res, cfg, nodes, widen)
+    score, mean, var = _dpm_blocks(t, eta, tau2, res["m"])
     lz = kernels.log_partition_sums(score)
     log_node += lz[-1]
     log_node -= log_node.max()

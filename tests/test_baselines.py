@@ -315,6 +315,37 @@ def test_dpm_quadrature_moves_with_a_shift_and_permutes_with_the_sources():
     assert np.max(np.abs(reported(dpm_quadrature(flipped, DpmConfig())) - base[:, order])) < 1e-12
 
 
+def offset_pair(data, offset):
+    """``data`` offset by ``offset``, and the same rounded estimates less the offset."""
+    moved = SurveyData(data.labels, data.y_hat + offset, data.v)
+    return moved, SurveyData(data.labels, moved.y_hat - offset, data.v)
+
+
+def assert_moves_with_the_offset(moved, base, offset):
+    moved[[0, 2, 3]] -= offset
+    assert np.max(np.abs(moved[1] - base[1])) <= 1e-12
+    assert np.max(np.abs(moved[[0, 2, 3]] - base[[0, 2, 3]])) <= 2 * np.spacing(offset)
+
+
+@pytest.mark.parametrize("offset", [1e12, 1e13, 1e16])
+def test_dpm_quadrature_at_a_large_offset_matches_the_unshifted_estimates(offset):
+    # every DPM quantity is formed about the subset table's shift, so only the
+    # shift carries the offset; in the raw frame the SDs drifted by up to 2.7e-3
+    moved, base = offset_pair(make_dixie(1.0), offset)
+    assert_moves_with_the_offset(reported(dpm_quadrature(moved, DpmConfig())),
+                                 reported(dpm_quadrature(base, DpmConfig())), offset)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dpm_gibbs_at_a_large_offset_matches_the_unshifted_estimates(seed):
+    # the chain runs on the centred estimates and summarises its centred draws;
+    # in the raw frame the SDs were (0.0173, 0.0298, 0.0299) against (0.0139, 0.0235, 0.0237)
+    moved, base = offset_pair(make_dixie(1.0), 1e12)
+    cfg = DpmConfig(iterations=6000, burn_in=1000, seed=seed)
+    assert_moves_with_the_offset(reported(dpm_gibbs(moved, cfg)),
+                                 reported(dpm_gibbs(base, cfg)), 1e12)
+
+
 def test_dpm_quadrature_agrees_with_a_long_chain():
     data = make_dixie(1.0)
     post = dpm_quadrature(data, DpmConfig())
@@ -332,6 +363,10 @@ BAD_DPM_CONFIGS = (
     ({"iterations": 100, "burn_in": 100}, "iterations must exceed burn_in"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"thin": 0}, "thin must be >= 1"),
+    ({"iterations": 2, "burn_in": 1},
+     "the chain keeps 1 draw after burn_in and thin; it needs at least 2"),
+    ({"iterations": 600, "burn_in": 100, "thin": 500},
+     "the chain keeps 1 draw after burn_in and thin; it needs at least 2"),
     ({"m": 0.0}, "concentration m must be > 0"),
     ({"m": -1.0}, "concentration m must be > 0"),
     ({"m": np.inf}, "hyperprior input m=inf is not usable"),

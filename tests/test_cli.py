@@ -141,18 +141,20 @@ def test_estimates_near_the_float_range_with_small_ses_pool(tmp_path):
     assert results["pool-all"]["pool_all"]["mean"] == 1e300
 
 
-def test_dpm_refuses_estimates_whose_eta_box_has_no_width(tmp_path, capsys):
-    # at 1e300 the eta box is narrower than one float spacing, so its cells have width 0
-    f = tmp_path / "in.csv"
-    f.write_text(SUMMARY + "A,1e300,0.014\nB,1e300,0.028\nC,1e300,0.028\n", encoding="utf-8")
-    out = tmp_path / "dpm.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_command(["dpm", "--input", str(f), "--output", str(out)]) == 1
-    assert not out.exists()
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "eta box" in err[0], err
+def test_dpm_runs_on_estimates_near_the_float_range(tmp_path):
+    # the DPM works about the estimates' shift, so 1e300 gives the SDs of 0.3
+    sds = {}
+    for y in ("0.3", "1e300"):
+        f = tmp_path / f"in{y}.csv"
+        f.write_text(SUMMARY + f"A,{y},0.014\nB,{y},0.028\nC,{y},0.028\n", encoding="utf-8")
+        out = tmp_path / f"dpm{y}.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_command(["dpm", "--input", str(f), "--output", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        rows = ReportDocument.from_json(out.read_text(encoding="utf-8")).results["dpm"]["rows"]
+        sds[y] = np.array([row["post_sd"] for row in rows])
+    assert np.max(np.abs(sds["1e300"] - sds["0.3"])) <= 1e-15
     for cmd in ("pool", "pool-all"):
         assert run_command([cmd, "--input", str(f), "--r", "200", "--b", "500",
                             "--output", str(tmp_path / f"{cmd}.json")]) == 0
@@ -248,6 +250,21 @@ def test_dpm_rejects_negative_burn_in(dixie_file, tmp_path, capsys):
                             "--output", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--iterations", "2", "--burn-in", "1"],
+                                   ["--iterations", "600", "--burn-in", "100", "--thin", "500"]])
+def test_dpm_refuses_a_chain_that_keeps_one_draw(tmp_path, capsys, flags):
+    # one kept draw has no sample SD: the report would hold NaN, which is not JSON
+    out = tmp_path / "dpm.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command(["dpm", "--input", str(_wide_input(tmp_path, 7)), *flags,
+                            "--output", str(out)]) == 1
+    assert not out.exists()
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("error: the chain keeps 1 draw after burn_in and thin; "
+                                       "it needs at least 2\n")
 
 
 def test_dpm_hyperpriors_come_from_the_data(tmp_path):

@@ -18,6 +18,8 @@ importable, and writes into OUTDIR:
 - ``pool``, ``pool-all`` and ``dpm`` in json at seed 0 on the Dixie panel
   with the CDC SE equal to the HS SE, every estimate offset by 1e6, so
   that no estimate lies below 1;
+- ``dpm`` in json at seed 0 on that panel offset by 1e12, through the
+  quadrature, and on the L=7 input offset by 1e12, through the chain;
 - ``partitions --l 3`` with posterior masses for the first panel;
 - a 40-replicate ``simulate``.
 
@@ -54,6 +56,8 @@ EXTRA_INPUTS = {
     "equal_0.7": ((0.7, 0.7, 0.7), (0.014, 0.028, 0.028)),
     "single_1": ((0.3,), (0.02,)),
     "dixie_1.0_plus_1e6": (tuple(1e6 + y for y in PANELS[1][1]), PANELS[1][2]),
+    "dixie_1.0_plus_1e12": (tuple(1e12 + y for y in PANELS[1][1]), PANELS[1][2]),
+    "wide_7_plus_1e12": (tuple(1e12 + y for y in _wide(7)[0]), _wide(7)[1]),
 }
 
 #: (label, cases, total) rows of the binomial input; the first sits at the 0-case boundary.
@@ -91,6 +95,10 @@ def _runs(inputs: Path, out: Path):
     for cmd in ("pool", "pool-all", "dpm"):
         yield ([cmd, "--input", extra["dixie_1.0_plus_1e6"], "--seed", "0", "--format", "json"],
                out / f"{cmd}-dixie_1.0_plus_1e6-s0.json")
+    yield (["dpm", "--input", extra["dixie_1.0_plus_1e12"], "--seed", "0", "--format", "json"],
+           out / "dpm-dixie_1.0_plus_1e12-s0.json")
+    yield (["dpm", "--input", extra["wide_7_plus_1e12"], "--iterations", "600", "--burn-in", "100"],
+           out / "dpm-wide_7_plus_1e12-chain.json")
     yield (["partitions", "--l", "3", "--input", str(inputs / f"{PANELS[0][0]}.csv")],
            out / "partitions-l3.txt")
     yield ["simulate", "--scenario", str(inputs / "scenario.txt")], out / "simulate"
