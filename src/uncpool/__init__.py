@@ -6,13 +6,14 @@ support.  Includes a complete-pooling baseline, a Dirichlet-process-mixture
 baseline, and a simulation harness for coverage and bias studies.
 """
 
-from .baselines import (DpmConfig, DpmDraws, DpmExactResult, PoolAllPosterior,
-                        dpm_exact, dpm_gibbs, dpm_partition_prior, pool_all)
+import importlib
+
 from .errors import ComputationError, DomainError, ParseError, UncpoolError
-from .grid import (DeltaGrid, JointGridPosterior, PartitionMass, PosteriorDraws,
-                   SummaryTable, build_grid, evaluate_joint, exact_mixture_moments,
-                   marginal_delta2, marginal_g, sample_mu, summarize)
-from .io import ReportDocument, RunConfig, input_echo, logit_transform, parse_input
+from .grid import (DeltaGrid, JointGridPosterior, PartitionMass, PoolAllPosterior,
+                   PosteriorDraws, SummaryTable, build_grid, evaluate_joint,
+                   exact_mixture_moments, marginal_delta2, marginal_g, pool_all, sample_mu,
+                   summarize)
+from .io import DpmConfig, ReportDocument, RunConfig, input_echo, logit_transform, parse_input
 from .model import (ClusterStats, ConditionalMoments, SurveyData, cluster_stats,
                     conditional_moments, log_inv_beta_prior, log_joint_kernel,
                     log_partition_likelihood, q_statistic, shrinkage)
@@ -20,21 +21,20 @@ from .partitions import (Partition, PartitionSpace, bell_number, display_label_l
                          enumerate_partitions)
 __version__ = "0.1.0"
 
-# The simulation harness and the DPM quadrature load on first use, so CLI
-# commands that need neither skip importing them.
-_SIMULATION_NAMES = frozenset({"DELTA_STEP", "SimReport", "SimScenario", "generate_replicate",
-                               "parse_scenario", "run_scenario", "sd_reduction"})
-_QUADRATURE_NAMES = frozenset({"DpmQuadrature", "dpm_quadrature"})
+# The simulation harness and the DPM load on first use, so CLI commands that
+# need neither skip importing them.
+_LAZY = {
+    **dict.fromkeys(("DELTA_STEP", "SimReport", "SimScenario", "generate_replicate",
+                     "parse_scenario", "run_scenario", "sd_reduction"), "simulation"),
+    **dict.fromkeys(("DpmDraws", "DpmExactResult", "DpmQuadrature", "dpm_exact", "dpm_gibbs",
+                     "dpm_partition_prior", "dpm_quadrature"), "baselines"),
+}
 
 
 def __getattr__(name: str):
-    if name in _SIMULATION_NAMES:
-        from . import simulation
-        return getattr(simulation, name)
-    if name in _QUADRATURE_NAMES:
-        from . import quadrature
-        return getattr(quadrature, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
 
 #: Array backend of the numeric kernels; numpy is the only one.
 BACKEND = "numpy"

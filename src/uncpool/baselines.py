@@ -1,93 +1,45 @@
-"""Complete-pooling and Dirichlet-process-mixture baselines.
+"""The Dirichlet process mixture (DPM) baseline: hyperpriors, chain, exact oracle, quadrature.
 
-The pool-all posterior summarizes the common mean nu of the single-cluster
-model, mixing its conditional normal over the delta2 marginal p(j); its
-interval draws cells from p(j) with numpy's ``Generator.choice``.  The DPM
-baseline clusters sources through a Dirichlet process prior on their
+The DPM clusters sources through a Dirichlet process prior on their
 means, with base parameters eta ~ N(eta_b, s_b) and tau2 ~
 IG(phi1/2, phi2/2).  The four hyperpriors come from the data and cannot be
 set (:func:`_dpm_hyperpriors`): eta_b is the precision-weighted mean of the
 estimates, s_b their squared range, phi1 = 2 and phi2 twice their sample
 variance; s_b and phi2 are the mean V where the estimates are all equal,
-as at L = 1.  Like the grid analysis, every DPM quantity (the hyperpriors,
-the quadrature box, the chain and its summaries) is formed about the shift
-of ``kernels.centre``, which is added back once.  At fixed base parameters
-(eta, tau2) the DPM is a product partition model, whose block scores
-:func:`_dpm_blocks` gives.  The ``dpm`` command reports the posterior by
-quadrature over (eta, log tau2) (``quadrature.dpm_quadrature``) up to
-DPM_QUADRATURE_MAX_L sources, and from the collapsed Gibbs chain
-:func:`dpm_gibbs`, which is faster there, beyond.  The exact enumeration
-oracle :func:`dpm_exact` checks both at fixed base parameters.
+as at L = 1.  What a caller sets is ``io.DpmConfig``.  Like the grid
+analysis, every DPM quantity (the hyperpriors, the quadrature box, the
+chain and its summaries) is formed about the shift of ``kernels.centre``,
+which is added back once.
+
+At fixed base parameters (eta, tau2) the DPM is a product partition model,
+whose block scores and per-block moments :func:`_dpm_blocks` gives, so the
+log-space subset recursion ``kernels.log_partition_sums`` sums over every
+partition exactly.  :func:`dpm_quadrature` integrates the two base
+parameters on a midpoint grid over (eta, log tau2), which leaves no Monte
+Carlo error; the collapsed Gibbs chain :func:`dpm_gibbs` samples them.
+The ``dpm`` command reports by quadrature up to ``cli.DPM_QUADRATURE_MAX_L``
+sources and from the chain, which is faster there, beyond.  The exact
+enumeration oracle :func:`dpm_exact` checks both at fixed base parameters.
+Only the ``dpm`` command and the tests import this module, so other
+commands do not compile it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import DeltaGrid, JointGridPosterior, _check_sources, _solve, interval95
+from .grid import _TAILS, interval95
+from .io import DpmConfig
 from .model import SurveyData
 from .partitions import (Partition, PartitionSpace, enumerate_partitions, growth_codes,
                          member_masks)
 
-
-@dataclass(frozen=True)
-class PoolAllPosterior:
-    """Posterior summary of the common mean under complete pooling."""
-
-    mean: float
-    sd: float
-    interval: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "sd": self.sd,
-                "ci_lower": self.interval[0], "ci_upper": self.interval[1]}
-
-
-def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
-             jp: JointGridPosterior | None = None) -> PoolAllPosterior:
-    """Posterior of the common mean nu, mixing over the variance posterior.
-
-    Conditional on delta2, nu is normal with precision-weighted mean
-    sum(y_i/(V_i+delta2)) / sum(1/(V_i+delta2)) and variance
-    1/sum(1/(V_i+delta2)).  The mixture runs over the delta2 marginal p(j)
-    of the partition-averaged posterior; mean and SD come from the exact
-    mixture, the 95% interval from ``b`` draws.  The conditional moments
-    are read from the full-set row of the subset table and of 1/A_S in
-    the posterior's V-only terms.  Without ``jp``, the posterior of
-    ``grid.evaluate_joint`` is built, with no partition enumerated.
-    """
-    if data.l < 2:
-        raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
-    if b < 1:
-        raise DomainError(f"draw count must be >= 1, got {b}")
-    if jp is None:
-        jp = _solve(data, grid)
-    _check_sources(data, jp)
-    if not np.array_equal(jp.grid.deltas2, grid.deltas2):
-        raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
-                          f"not on this R={grid.r} grid")
-    table, weights = jp.table, jp.delta2_probs
-    shift = table.shift
-    mean_c, var_c = table.ybar[-1], table.terms.inv_a[-1]
-    mean = float((weights * mean_c).sum())
-    e2 = float((weights * (var_c + mean_c ** 2)).sum())
-    sd = math.sqrt(max(e2 - mean * mean, 0.0))
-    rng = np.random.default_rng(seed)
-    cells = rng.choice(weights.size, b, p=weights / weights.sum())
-    draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
-    lo, hi = interval95(draws)
-    return PoolAllPosterior(mean=shift + mean, sd=sd,
-                            interval=(shift + float(lo), shift + float(hi)))
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet process mixture
-# ---------------------------------------------------------------------------
 
 def dpm_partition_prior(p: Partition, m: float) -> float:
     """Prior probability of a partition under a DP with concentration m.
@@ -105,46 +57,6 @@ def dpm_partition_prior(p: Partition, m: float) -> float:
     for j in range(1, p.l):
         den *= m + j
     return num / den
-
-
-@dataclass(frozen=True)
-class DpmConfig:
-    """Settings for the DPM baseline, each checked when the config is built.
-
-    The hyperpriors cannot be set: :func:`_dpm_hyperpriors` derives eta_b,
-    s_b, phi1 and phi2 from the data.  ``iterations``, ``burn_in``,
-    ``thin`` and ``seed`` are read by the Gibbs chain alone.
-    ``fixed_eta``/``fixed_tau2`` freeze the base-distribution parameters
-    instead of sampling them, which the exact-enumeration oracle requires.
-    """
-
-    m: float = 3.0
-    iterations: int = 12000
-    burn_in: int = 2000
-    thin: int = 1
-    seed: int = 0
-    fixed_eta: float | None = None
-    fixed_tau2: float | None = None
-
-    def __post_init__(self):
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.iterations <= self.burn_in:
-            raise DomainError("iterations must exceed burn_in")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
-        if self.iterations - self.burn_in <= self.thin:   # one draw has no sample SD
-            raise DomainError("the chain keeps 1 draw after burn_in and thin; it needs at least 2")
-        if self.m <= 0:
-            raise DomainError("concentration m must be > 0")
-        if not np.isfinite(self.m):
-            raise DomainError(f"hyperprior input m={self.m} is not usable")
-        if self.fixed_eta is not None and not np.isfinite(self.fixed_eta):
-            raise DomainError(f"fixed_eta must be finite, got {self.fixed_eta}")
-        if self.fixed_tau2 is not None and not (np.isfinite(self.fixed_tau2) and self.fixed_tau2 > 0):
-            raise DomainError(f"fixed_tau2 must be finite and > 0, got {self.fixed_tau2}")
 
 
 @dataclass(frozen=True)
@@ -250,13 +162,9 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     )
 
 
-#: Largest L the exact DPM oracle enumerates; ``quadrature.dpm_quadrature``
-#: has no such bound of its own.
+#: Largest L the exact DPM oracle enumerates; :func:`dpm_quadrature` has
+#: no such bound of its own.
 DPM_EXACT_MAX_L = 8
-#: Largest L whose ``dpm`` report comes from ``quadrature.dpm_quadrature``:
-#: the largest L at which it was measured faster than the default
-#: 12000-sweep :func:`dpm_gibbs`, which the CLI runs above it.
-DPM_QUADRATURE_MAX_L = 6
 
 
 def _dpm_blocks(t: kernels.SubsetTable, eta_c: np.ndarray, tau2: np.ndarray,
@@ -312,7 +220,7 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactRe
     DP prior times the product of its clusters' closed-form marginal
     likelihoods; survey moments mix the conjugate within-cluster posteriors
     over partitions.  Serves as the correctness oracle for
-    :func:`dpm_gibbs` and ``quadrature.dpm_quadrature``, with which it
+    :func:`dpm_gibbs` and :func:`dpm_quadrature`, with which it
     shares only the block scores and moments of :func:`_dpm_blocks`.
     """
     if data.l > DPM_EXACT_MAX_L:
@@ -336,3 +244,162 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactRe
     e1 = w @ means
     sd = np.sqrt(w @ (variances + (means - e1) ** 2))
     return DpmExactResult(space=space, probs=w, post_mean=t.shift + e1, post_sd=sd)
+
+# ---------------------------------------------------------------------------
+# quadrature over (eta, log tau2)
+# ---------------------------------------------------------------------------
+
+#: Nodes per axis of the (eta, log tau2) grid of :func:`dpm_quadrature`.
+DPM_NODES = 64
+#: Posterior mass the quadrature box may leave out past each end of each axis.
+_BOX_TAIL = 1e-9
+#: Total block-node mass dropped from each mixture before its quantiles are solved.
+_DROP_MASS = 1e-12
+
+
+def _midpoints(lo, hi, n: int, widen: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, ...) midpoints of n equal cells over [lo, hi] scaled about its centre by ``widen``.
+
+    Also returns the (...) cell widths.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    h = widen * (hi - lo) / n
+    start = 0.5 * (lo + hi) - 0.5 * n * h
+    return start + h * (np.arange(n) + 0.5).reshape((n,) + (1,) * h.ndim), h
+
+
+def _dpm_axes(t: kernels.SubsetTable, yc: np.ndarray, eta_c: float, res: dict,
+              cfg: DpmConfig, n: int, widen: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (C,) eta less the shift, tau2 and log node weight of the quadrature grid.
+
+    A free axis gets n midpoint nodes over a box that leaves at most
+    ``_BOX_TAIL`` of the posterior past each end, scaled about its centre
+    by ``widen``.  log tau2 = log(phi2/2) - log G with G ~ Gamma(a =
+    phi1/2).  Below, the box stops where the Chernoff bound
+    (g/a)^a e^(a - g) on P(G > g) reaches the tail.  Above, every
+    cluster's marginal falls like 1/tau, so the posterior density of
+    log tau2 falls like exp(-(a + 1/2) log tau2), and the box stops
+    log(1/tail) / (a + 1/2) past log(phi2/2).
+
+    eta gets its own box in each tau2 column, about the shift of ``t``,
+    the delta2 = 0 subset table: ``yc`` are the estimates and ``eta_c``
+    is eta_b, both less that shift.  Given tau2 and a partition, eta is
+    normal.  Its mean lies between eta_c and a precision-weighted mean of
+    yc.  Its variance is at most min(s_b, 1/A + tau2), where A = sum 1/V_i
+    is the table's full-set row.  So the box spans [min(eta_c, min yc),
+    max(eta_c, max yc)] widened by z = sqrt(2 log(1/tail)) such SDs each
+    way, which is at least 2 z SDs wide.  A node weighs its prior density
+    in (eta, log tau2), Jacobian included, times its cell area; a fixed
+    parameter is one node of weight 1.
+    """
+    if cfg.fixed_tau2 is not None:
+        log_t, lw_t = np.array([math.log(cfg.fixed_tau2)]), np.zeros(1)
+    else:
+        a, b = res["phi1"] / 2.0, res["phi2"] / 2.0
+        g = a + math.log(1.0 / _BOX_TAIL)
+        for _ in range(50):                 # fixed point of g = a + log(1/tail) + a log(g/a)
+            g = a + math.log(1.0 / _BOX_TAIL) + a * math.log(g / a)
+        log_t, h = _midpoints(math.log(b) - math.log(g),
+                              math.log(b) + math.log(1.0 / _BOX_TAIL) / (a + 0.5), n, widen)
+        lw_t = -a * log_t - b * np.exp(-log_t) + math.log(h)
+    tau2 = np.exp(log_t)
+    if cfg.fixed_eta is not None:
+        eta, lw = np.full((1, tau2.size), cfg.fixed_eta - t.shift), lw_t[None, :]
+    else:
+        sd = np.sqrt(np.minimum(res["s_b"], t.terms.inv_a[-1, 0] + tau2))
+        sd *= math.sqrt(2.0 * math.log(1.0 / _BOX_TAIL))
+        eta, h = _midpoints(min(eta_c, yc.min()) - sd, max(eta_c, yc.max()) + sd, n, widen)
+        lw = -0.5 * (eta - eta_c) ** 2 / res["s_b"] + (lw_t + np.log(h))[None, :]
+    return eta.ravel(), np.broadcast_to(tau2, eta.shape).ravel(), lw.ravel()
+
+
+class _DpmMixture(NamedTuple):
+    """The DPM posterior on the quadrature grid: every (block, node) component."""
+
+    resolved: dict
+    shift: float             # the subset table's shift; means are taken about it
+    mass: np.ndarray         # (2^L, C) W[S, node]; row 0 is 0
+    mean: np.ndarray         # (2^L, C) cluster-value mean about the shift
+    var: np.ndarray          # (2^L, C) cluster-value variance
+
+
+def _dpm_mixture(data: SurveyData, cfg: DpmConfig, nodes: int, widen: float) -> _DpmMixture:
+    """Block masses W[S, node] = p(node) phi(S) Z(full - S) / Z(full) on the grid.
+
+    The grid is :func:`_dpm_axes` with ``nodes`` per free axis and its box
+    scaled by ``widen``.  A node's mass p(node) is its prior weight times
+    Z(full) from :func:`kernels.log_partition_sums`; W is the posterior
+    probability that S is a cluster and the base parameters are the
+    node's, so over the S holding any one source it sums to 1.
+    """
+    res, _, yc, eta_c = _dpm_hyperpriors(data, cfg.m)
+    t = kernels.subset_table(data.y_hat, data.v, np.zeros(1))
+    eta, tau2, log_node = _dpm_axes(t, yc, eta_c, res, cfg, nodes, widen)
+    score, mean, var = _dpm_blocks(t, eta, tau2, res["m"])
+    lz = kernels.log_partition_sums(score)
+    log_node += lz[-1]
+    log_node -= log_node.max()
+    p = np.exp(log_node)
+    p /= p.sum()
+    w = score
+    w += lz[::-1]                        # row S of lz[::-1] is log Z(full - S)
+    w -= lz[-1]
+    np.exp(w, out=w)
+    w *= p
+    w[0] = 0.0
+    return _DpmMixture(resolved=res, shift=t.shift, mass=w, mean=mean, var=var)
+
+
+@dataclass(frozen=True)
+class DpmQuadrature:
+    """DPM posterior summary by quadrature over (eta, log tau2), exact over partitions."""
+
+    config: DpmConfig
+    resolved: dict
+    post_mean: tuple[float, ...]
+    post_sd: tuple[float, ...]
+    ci_lower: tuple[float, ...]
+    ci_upper: tuple[float, ...]
+
+
+def dpm_quadrature(data: SurveyData, cfg: DpmConfig) -> DpmQuadrature:
+    """The DPM posterior of each survey's cluster value, without Monte Carlo error.
+
+    At fixed (eta, tau2) the DPM is a product partition model with the
+    block scores of :func:`_dpm_blocks`, so the subset recursion
+    sums over every partition exactly.  The base parameters are integrated
+    on the midpoint grid of :func:`_dpm_axes`, ``DPM_NODES`` per free axis,
+    and :func:`_dpm_mixture` gives the block masses W[S, node].  Reads
+    neither the chain settings nor the seed of ``cfg``.
+    """
+    return _summarize(cfg, _dpm_mixture(data, cfg, DPM_NODES, 1.0))
+
+
+def _summarize(cfg: DpmConfig, mix: _DpmMixture) -> DpmQuadrature:
+    """Each survey's mean, SD and 95% interval from its mixture over (S holding it, node).
+
+    Means and SDs mix the per-block moments with weights W, the SDs about
+    each survey's own mean.  The interval is solved by
+    :func:`kernels.mixture_quantiles` after dropping the lightest
+    components, at most ``_DROP_MASS`` of each mixture in all.
+    """
+    w, mean, var = mix.mass, mix.mean, mix.var
+    l = w.shape[0].bit_length() - 1
+    held = kernels.holders(l)
+    e1 = np.einsum("sc,sc->s", w, mean)[held].sum(axis=1)
+    sd = np.sqrt([np.einsum("hc,hc->", w[rows], var[rows] + (mean[rows] - mu) ** 2)
+                  for rows, mu in zip(held, e1)])
+    blocks, cols = np.nonzero(~kernels.negligible(w, _DROP_MASS))
+    owner, k = np.nonzero(kernels.membership(l)[:, blocks])   # by source
+    blocks, cols = blocks[k], cols[k]
+    ci = kernels.mixture_quantiles(w[blocks, cols], mean[blocks, cols],
+                                   np.sqrt(var[blocks, cols]), owner, _TAILS)
+    ci += mix.shift
+    return DpmQuadrature(
+        config=cfg,
+        resolved=mix.resolved,
+        post_mean=tuple(float(x) for x in mix.shift + e1),
+        post_sd=tuple(float(x) for x in sd),
+        ci_lower=tuple(float(x) for x in ci[:, 0]),
+        ci_upper=tuple(float(x) for x in ci[:, 1]),
+    )

@@ -8,11 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import DPM_QUADRATURE_MAX_L, DpmConfig, dpm_gibbs, pool_all
 from .errors import UncpoolError
-from .grid import build_grid, evaluate_joint, marginal_g, sample_mu, summarize
-from .io import RunConfig, ReportDocument, input_echo, parse_input, render_report, survey_rows
+from .grid import build_grid, evaluate_joint, marginal_g, pool_all, sample_mu, summarize
+from .io import (DpmConfig, RunConfig, ReportDocument, input_echo, parse_input, render_report,
+                 survey_rows)
 from .partitions import enumerate_partitions
+
+#: Largest L whose ``dpm`` report comes from ``baselines.dpm_quadrature``:
+#: the largest L at which it was measured faster than the default
+#: 12000-sweep ``baselines.dpm_gibbs``, which runs above it.
+DPM_QUADRATURE_MAX_L = 6
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -122,11 +127,11 @@ def _cmd_dpm(args) -> int:
     data = parse_input(args.input)
     dpm_cfg = DpmConfig(m=args.m, iterations=args.iterations, burn_in=args.burn_in,
                         thin=args.thin, seed=args.seed)
+    from . import baselines   # only this command compiles the DPM
     if data.l <= DPM_QUADRATURE_MAX_L:
-        from .quadrature import dpm_quadrature   # only this command compiles it
-        method, post = "quadrature", dpm_quadrature(data, dpm_cfg)
+        method, post = "quadrature", baselines.dpm_quadrature(data, dpm_cfg)
     else:
-        method, post = "gibbs", dpm_gibbs(data, dpm_cfg)
+        method, post = "gibbs", baselines.dpm_gibbs(data, dpm_cfg)
     rows = survey_rows(data.labels, data.y_hat.tolist(), post.post_mean,
                        np.sqrt(data.v).tolist(), post.post_sd, post.ci_lower, post.ci_upper)
     config = {"format": args.format, "hyperparameters": post.resolved,

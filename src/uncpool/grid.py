@@ -1,4 +1,4 @@
-"""Posterior over (partition, delta2) on the variance grid: evaluation, sampling, summaries.
+"""Posterior over (partition, delta2) on the variance grid, and complete pooling on it.
 
 The between-source variance gets an R-point grid placed at the quantiles of
 its prior: with theta_j = (j - 1/2) * (pi/2) / R and delta_j = tan(theta_j),
@@ -16,8 +16,9 @@ their block products, in O(3^L R) time.  From it come the delta2 marginal
 p(j), proportional to c_j Z(full, j); the evidence; and the block masses
 W[S, j] = p(j) phi(S, j) Z(full - S, j) / Z(full, j), the posterior
 probability that S is a block and the cell is j.  The moments, the mixture
-CDF, the draws, complete pooling and the partition listing read these; the
-lattice itself is built only when ``JointGridPosterior.log_mass`` is read.
+CDF, the draws, complete pooling (:func:`pool_all`, the common mean mixed
+over p(j)) and the partition listing read these; the lattice itself is
+built only when ``JointGridPosterior.log_mass`` is read.
 The draws pick the block holding source 0 and the cell together with
 numpy's ``Generator.choice`` over the W rows of those blocks.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,9 +46,6 @@ from .io import survey_rows
 from .model import SurveyData
 from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
                          growth_codes, growth_labels, member_masks)
-
-if TYPE_CHECKING:  # runtime import would be circular; used only in annotations
-    from .baselines import PoolAllPosterior
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -470,6 +467,56 @@ def covers95(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PoolAllPosterior:
+    """Posterior summary of the common mean under complete pooling."""
+
+    mean: float
+    sd: float
+    interval: tuple[float, float]
+
+    def to_dict(self) -> dict:
+        return {"mean": self.mean, "sd": self.sd,
+                "ci_lower": self.interval[0], "ci_upper": self.interval[1]}
+
+
+def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
+             jp: JointGridPosterior | None = None) -> PoolAllPosterior:
+    """Posterior of the common mean nu, mixing over the variance posterior.
+
+    Conditional on delta2, nu is normal with precision-weighted mean
+    sum(y_i/(V_i+delta2)) / sum(1/(V_i+delta2)) and variance
+    1/sum(1/(V_i+delta2)).  The mixture runs over the delta2 marginal p(j)
+    of the partition-averaged posterior; mean and SD come from the exact
+    mixture, the 95% interval from ``b`` draws.  The conditional moments
+    are read from the full-set row of the subset table and of 1/A_S in
+    the posterior's V-only terms.  Without ``jp``, the posterior of
+    :func:`evaluate_joint` is built, with no partition enumerated.
+    """
+    if data.l < 2:
+        raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
+    if b < 1:
+        raise DomainError(f"draw count must be >= 1, got {b}")
+    if jp is None:
+        jp = _solve(data, grid)
+    _check_sources(data, jp)
+    if not np.array_equal(jp.grid.deltas2, grid.deltas2):
+        raise DomainError(f"jp was built on a grid of R={jp.grid.r}, "
+                          f"not on this R={grid.r} grid")
+    table, weights = jp.table, jp.delta2_probs
+    shift = table.shift
+    mean_c, var_c = table.ybar[-1], table.terms.inv_a[-1]
+    mean = float((weights * mean_c).sum())
+    e2 = float((weights * (var_c + mean_c ** 2)).sum())
+    sd = math.sqrt(max(e2 - mean * mean, 0.0))
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(weights.size, b, p=weights / weights.sum())
+    draws = rng.normal(mean_c[cells], np.sqrt(var_c[cells]))
+    lo, hi = interval95(draws)
+    return PoolAllPosterior(mean=shift + mean, sd=sd,
+                            interval=(shift + float(lo), shift + float(hi)))
+
+
+@dataclass(frozen=True)
 class PartitionMass:
     """One partition's posterior probability, keyed by cluster notation."""
 
@@ -490,7 +537,7 @@ class SummaryTable:
     ci_lower: tuple[float, ...]
     ci_upper: tuple[float, ...]
     partition_probs: tuple[PartitionMass, ...]
-    pool_all: "PoolAllPosterior | None" = None
+    pool_all: PoolAllPosterior | None = None
 
     def to_dict(self) -> dict:
         d = {
@@ -593,7 +640,7 @@ def interval95(x: np.ndarray) -> np.ndarray:
 
 
 def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
-              pool_all: "PoolAllPosterior | None" = None,
+              pool_all: PoolAllPosterior | None = None,
               threshold: float = 0.001) -> SummaryTable:
     """Assemble the report table.
 

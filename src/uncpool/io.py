@@ -1,4 +1,4 @@
-"""Survey inputs and analysis reports: parsing, run configuration, serialization.
+"""Survey inputs and analysis reports: parsing, run configurations, serialization.
 
 Input files are comma-delimited with a header of either
 ``label,estimate,se`` (summary form) or ``label,cases,total`` (binomial
@@ -7,9 +7,11 @@ be positive, and the precisions 1/V must have a finite sum; the error
 names the line at which that sum first overflows.  Each record must fit
 on one line, so a quoted field holding a line break is refused at its
 first line, and every error names the line of the file it is on.
-Reports serialize to JSON (canonical, round-trips byte-identically), CSV,
-or markdown; their per-source rows are built by :func:`survey_rows`,
-keyed by ``_ROW_KEYS``.
+:class:`RunConfig` (the grid commands) and :class:`DpmConfig` (``dpm``)
+check their fields when built; the CLI reads its defaults from them
+without loading either model.  Reports serialize to JSON (canonical,
+round-trips byte-identically), CSV, or markdown; their per-source rows
+are built by :func:`survey_rows`, keyed by ``_ROW_KEYS``.
 """
 
 from __future__ import annotations
@@ -148,6 +150,47 @@ class RunConfig:
             raise DomainError(f"unknown output format {self.format!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise DomainError(f"threshold must be a probability in [0, 1], got {self.threshold}")
+
+
+@dataclass(frozen=True)
+class DpmConfig:
+    """Settings for the DPM baseline, each checked when the config is built.
+
+    The hyperpriors cannot be set: ``baselines._dpm_hyperpriors`` derives
+    eta_b, s_b, phi1 and phi2 from the data.  ``iterations``, ``burn_in``,
+    ``thin`` and ``seed`` are read by the Gibbs chain alone.
+    ``fixed_eta``/``fixed_tau2`` freeze the base-distribution parameters
+    instead of sampling them, which the exact-enumeration oracle requires.
+    """
+
+    m: float = 3.0
+    iterations: int = 12000
+    burn_in: int = 2000
+    thin: int = 1
+    seed: int = 0
+    fixed_eta: float | None = None
+    fixed_tau2: float | None = None
+
+    def __post_init__(self):
+        if self.burn_in < 0:
+            raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.iterations <= self.burn_in:
+            raise DomainError("iterations must exceed burn_in")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.thin < 1:
+            raise DomainError("thin must be >= 1")
+        if self.iterations - self.burn_in <= self.thin:   # one draw has no sample SD
+            raise DomainError("the chain keeps 1 draw after burn_in and thin; it needs at least 2")
+        if self.m <= 0:
+            raise DomainError("concentration m must be > 0")
+        if not math.isfinite(self.m):
+            raise DomainError(f"hyperprior input m={self.m} is not usable")
+        if self.fixed_eta is not None and not math.isfinite(self.fixed_eta):
+            raise DomainError(f"fixed_eta must be finite, got {self.fixed_eta}")
+        if self.fixed_tau2 is not None and not (math.isfinite(self.fixed_tau2)
+                                                and self.fixed_tau2 > 0):
+            raise DomainError(f"fixed_tau2 must be finite and > 0, got {self.fixed_tau2}")
 
 
 @dataclass(frozen=True)

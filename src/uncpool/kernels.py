@@ -27,8 +27,8 @@ C - B^2/A cancels catastrophically when the estimates share a large offset,
 so y is first centred on its precision-weighted mean (Chan, Golub & LeVeque
 1983, "Algorithms for computing the sample variance").  :func:`centre` is
 the one place that shift is computed.  The table stores ``ybar`` centred
-and records the offset as ``shift``; the DPM forms its hyperpriors, its
-quadrature box and its chain about the same shift.
+and records the offset as ``shift``; ``baselines`` forms the DPM's
+hyperpriors, quadrature box and chain about the same shift.
 
 The model's weight of a (partition, grid point) pair is a per-point factor
 times a product over the partition's clusters of phi(S) = exp(-q_S/2 - 1/2)
@@ -153,13 +153,16 @@ def centre(y, v) -> float:
     y is scaled by 2^-k, k the binary exponent of max |y|, before it is
     divided by V, so that y / V cannot overflow.  Short of underflow, a
     power of two scales every rounding exactly, so the bits are those of
-    (y / v).sum() / (1 / v).sum() wherever that is finite.  An overflow
-    gives a non-finite shift without a numpy warning, for the caller's
-    finite check to report.
+    (y / v).sum() / (1 / v).sum() wherever that is finite.  Equal
+    estimates get their own value, which those sums can miss by an ulp.
+    An overflow gives a non-finite shift without a numpy warning, for the
+    caller's finite check to report.
     """
+    lo, hi = y.min(), y.max()
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 2.0 ** -max(math.frexp(max(y.max(), -y.min()))[1], 0)
-        return float((y * s / v).sum() / (1.0 / v).sum()) / s
+        s = 2.0 ** -max(math.frexp(max(hi, -lo))[1], 0)
+        shift = float((y * s / v).sum() / (1.0 / v).sum()) / s
+    return float(lo) if lo == hi and math.isfinite(shift) else shift
 
 
 def subset_table(y, v, deltas2, out=None) -> SubsetTable:

@@ -8,9 +8,8 @@ import pytest
 from uncpool import (DomainError, DpmConfig, DpmDraws, SurveyData, build_grid, cluster_stats,
                      dpm_exact, dpm_gibbs, dpm_partition_prior, dpm_quadrature,
                      enumerate_partitions, evaluate_joint, kernels, marginal_delta2, pool_all)
-from uncpool.baselines import _dpm_blocks
+from uncpool.baselines import DPM_NODES, _dpm_blocks, _dpm_mixture, _summarize
 from uncpool.kernels import holders
-from uncpool.quadrature import DPM_NODES, _dpm_mixture, _summarize
 
 from conftest import make_dixie, make_orange
 
@@ -334,6 +333,14 @@ def test_dpm_quadrature_at_a_large_offset_matches_the_unshifted_estimates(offset
     moved, base = offset_pair(make_dixie(1.0), offset)
     assert_moves_with_the_offset(reported(dpm_quadrature(moved, DpmConfig())),
                                  reported(dpm_quadrature(base, DpmConfig())), offset)
+
+
+def test_dpm_quadrature_of_equal_estimates_does_not_depend_on_their_value():
+    # the shift is their value exactly, so every centred estimate is 0
+    v = np.array([0.014, 0.028, 0.028]) ** 2
+    sd = [np.array(dpm_quadrature(SurveyData(list("abc"), np.full(3, c), v), DpmConfig()).post_sd)
+          for c in (0.3, 1e20)]
+    assert np.max(np.abs(sd[1] - sd[0])) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

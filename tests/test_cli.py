@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from uncpool import DpmConfig, ReportDocument, dpm_gibbs
-from uncpool.baselines import DPM_QUADRATURE_MAX_L
-from uncpool.cli import build_parser, run_command
+from uncpool.cli import DPM_QUADRATURE_MAX_L, build_parser, run_command
 
 from conftest import make_dixie
 
@@ -198,8 +197,7 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("l", [3, DPM_QUADRATURE_MAX_L])
 def test_dpm_reports_by_quadrature_without_the_chain(tmp_path, monkeypatch, l):
-    for target in ("uncpool.cli.dpm_gibbs", "uncpool.baselines.dpm_gibbs",
-                   "uncpool.kernels.dpm_chain"):
+    for target in ("uncpool.baselines.dpm_gibbs", "uncpool.kernels.dpm_chain"):
         monkeypatch.setattr(target, _fail)
     out = tmp_path / "dpm.json"
     assert run_command(["dpm", "--input", str(_wide_input(tmp_path, l)),
@@ -425,18 +423,39 @@ def test_console_entry_point():
 
 def test_cli_import_stays_lazy():
     # a command that does not simulate must not pay for the harness or its pool,
-    # nor one that does not report a DPM for the quadrature
+    # and one other than dpm must not pay for the DPM
     import subprocess
     import sys
 
     code = ("import sys, uncpool, uncpool.cli\n"
             "assert 'uncpool.simulation' not in sys.modules\n"
-            "assert 'uncpool.quadrature' not in sys.modules\n"
+            "assert 'uncpool.baselines' not in sys.modules\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "missing = [n for n in uncpool.__all__ if not hasattr(uncpool, n)]\n"
             "assert not missing, missing\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_dpm_command_loads_the_dpm(dixie_file, tmp_path):
+    import subprocess
+    import sys
+
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 3\nr = 50\nb = 200\n", encoding="utf-8")
+    inp = ["--input", str(dixie_file)]
+    grid = [*inp, "--r", "50", "--b", "200"]
+    runs = {"pool": grid, "pool-all": grid, "partitions": ["--l", "3", *inp, "--r", "50"],
+            "simulate": ["--scenario", str(scen)], "dpm": inp}
+    for cmd, argv in runs.items():
+        argv = [cmd, *argv, "--output", str(tmp_path / cmd)]
+        code = ("import sys\n"
+                "from uncpool.cli import run_command\n"
+                f"assert run_command({argv!r}) == 0\n"
+                "print('uncpool.baselines' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(cmd == "dpm"), cmd
 
 
 def test_commands_do_not_import_numpy_ma(dixie_file, tmp_path):

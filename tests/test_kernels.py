@@ -102,6 +102,19 @@ def test_subset_terms_singletons_are_zero():
     assert not table.q[0].any() and not table.a[0].any()
 
 
+@pytest.mark.parametrize("c", [0.3, 1e16, 1e20, 1e300])
+def test_centre_of_equal_estimates_is_their_value(c):
+    # the weighted sums land an ulp away (5.6e-17 at 0.3, 16384 at 1e20)
+    v = np.array([0.014, 0.028, 0.028]) ** 2
+    assert kernels.centre(np.full(3, c), v) == c
+    assert not subset_table(np.full(3, c), v, np.ones(2)).ybar.any()
+
+
+def test_centre_still_reports_an_overflow():
+    with np.errstate(all="raise"):
+        assert not math.isfinite(kernels.centre(np.full(2, 1.0), np.full(2, 1e-320)))
+
+
 def test_erfc_matches_math_erfc():
     rng = np.random.default_rng(3)
     x = np.concatenate([np.linspace(-6.0, 27.0, 330_001), rng.uniform(-6.0, 27.0, 100_000),

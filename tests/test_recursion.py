@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uncpool import (SurveyData, build_grid, enumerate_partitions, evaluate_joint,
                      exact_mixture_moments, log_inv_beta_prior, marginal_g, pool_all,
                      sample_mu, summarize)
-from uncpool import baselines, kernels, partitions
+from uncpool import kernels, partitions
 from uncpool.grid import _listed_partitions
 from uncpool.kernels import partition_sums, q_matrix, subset_splits, subset_table
 from uncpool.partitions import PartitionSpace, growth_codes, member_masks
@@ -166,7 +166,7 @@ def test_pool_pipeline_never_builds_the_lattice(monkeypatch):
     draws = sample_mu(data, jp, 500, seed=2)
     table = summarize(data, jp, draws, pool_all=pa, threshold=1e-3)
     assert table.partition_probs and "log_mass" not in vars(jp)
-    monkeypatch.setattr(baselines, "enumerate_partitions", refuse)
+    monkeypatch.setattr("uncpool.grid.PartitionSpace", refuse)
     assert pool_all(data, grid, b=500, seed=1).mean == pa.mean
     assert "space" not in vars(jp)   # the posterior's partition space is never read
     monkeypatch.undo()
