@@ -16,7 +16,8 @@ whose block scores and per-block moments :func:`_dpm_blocks` gives, so the
 log-space subset recursion ``kernels.log_partition_sums`` sums over every
 partition exactly.  :func:`dpm_quadrature` integrates the two base
 parameters on a midpoint grid over (eta, log tau2), which leaves no Monte
-Carlo error; the collapsed Gibbs chain :func:`dpm_gibbs` samples them.
+Carlo error; the collapsed Gibbs chain samples them: :func:`dpm_gibbs`
+draws its variates and :func:`dpm_chain` runs its sweeps.
 The ``dpm`` command reports by quadrature up to ``cli.DPM_QUADRATURE_MAX_L``
 sources and from the chain, which is faster there, beyond.  The exact
 enumeration oracle :func:`dpm_exact` checks both at fixed base parameters.
@@ -27,6 +28,8 @@ commands do not compile it.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .grid import _TAILS, interval95
+from .grid import TAILS, interval95
 from .io import DpmConfig
 from .model import SurveyData
 from .partitions import (Partition, PartitionSpace, enumerate_partitions, growth_codes,
@@ -117,6 +120,123 @@ def _dpm_hyperpriors(data: SurveyData, m: float) -> tuple[dict, float, np.ndarra
     return {"m": m, **res}, shift, yc, eta_c
 
 
+# ---------------------------------------------------------------------------
+# the collapsed Gibbs chain (Neal 2000, Algorithm 3)
+#
+# dpm_chain consumes the variates that dpm_gibbs pre-draws, so the seed
+# alone fixes its trajectory: uniforms (T, L) drive the assignment choices,
+# norm_phi (T, L) the cluster-value draws, norm_eta (T,) the base-mean draw,
+# and gammas[t, k-1] ~ Gamma(phi1/2 + k/2, 1) the precision draw used when k
+# clusters are realized at sweep t.  The hyperprior shape phi1 enters only
+# through these pre-drawn shapes, so the chain itself does not take it.
+# ---------------------------------------------------------------------------
+
+def _flat(a: np.ndarray) -> memoryview:
+    """A flat float64 view of ``a`` whose items index as Python floats."""
+    return memoryview(np.ascontiguousarray(a, dtype=np.float64)).cast("B").cast("d")
+
+
+def dpm_chain(y, v, m, eta_b, s_b, phi2, eta0, tau20,
+              update_eta, update_tau2, burn, thin,
+              uniforms, norm_phi, norm_eta, gammas):
+    """Run T sweeps; return the labels, values, eta and tau2 of sweeps burn, burn+thin, ...
+
+    Cluster c is the ascending member list ``clusters[c]``, and source i
+    sits in cluster ``label[i]``.  A cluster's posterior mean and variance
+    start from 1/tau2 and eta/tau2 and add 1/V_j and y_j/V_j over its
+    members in ascending order.  They are cached for the sweep and
+    recomputed only for the cluster a source leaves or joins.  The caller
+    checks burn >= 0 and thin >= 1.
+    """
+    T, L = uniforms.shape
+    y, v = y.tolist(), v.tolist()
+    inv_v = [1.0 / vj for vj in v]
+    y_v = [yj / vj for yj, vj in zip(y, v)]
+    log_n = [0.0] + [math.log(n) for n in range(1, L + 1)]
+    log_m, log2pi = math.log(m), math.log(2.0 * math.pi)
+    log, exp, sqrt = math.log, math.exp, math.sqrt
+    u_all, nphi_all, neta_all, gam_all = map(_flat, (uniforms, norm_phi, norm_eta, gammas))
+    z_hist, theta_hist, eta_hist, tau2_hist = array("q"), array("d"), array("d"), array("d")
+
+    clusters = [[i] for i in range(L)]
+    label = list(range(L))
+    eta, tau2 = eta0, tau20
+    next_keep = burn
+    sites = range(L)
+
+    def posterior(members):
+        """Mean, variance and log size of a cluster's value given its members."""
+        prec, num = prec0, num0
+        for j in members:
+            prec += inv_v[j]
+            num += y_v[j]
+        return num / prec, 1.0 / prec, log_n[len(members)]
+
+    for t in range(T):
+        u, nphi = u_all[t * L:(t + 1) * L], nphi_all[t * L:(t + 1) * L]
+        prec0, num0 = 1.0 / tau2, eta / tau2
+        post = [posterior(members) for members in clusters]
+        for i in sites:
+            # detach i; deleting an emptied cluster shifts later labels down
+            c = label[i]
+            members = clusters[c]
+            members.remove(i)
+            if members:
+                post[c] = posterior(members)
+            else:
+                del clusters[c], post[c]
+                for j in sites:
+                    if label[j] > c:
+                        label[j] -= 1
+            # posterior predictive weight for each existing cluster, then a new one
+            yi, vi = y[i], v[i]
+            logw = []
+            for mc, sc, log_size in post:
+                tot = sc + vi
+                logw.append(log_size - 0.5 * (log2pi + log(tot)) - 0.5 * (yi - mc) ** 2 / tot)
+            tot = tau2 + vi
+            logw.append(log_m - 0.5 * (log2pi + log(tot)) - 0.5 * (yi - eta) ** 2 / tot)
+            mx = max(logw)
+            acc = []
+            s = 0.0
+            for lw in logw:
+                s += exp(lw - mx)
+                acc.append(s)
+            # the first cluster whose running sum reaches the target; a NaN opens one
+            k = len(clusters)
+            target = u[i] * s
+            pick = bisect_left(acc, target) if target == target else k
+            label[i] = pick
+            if pick < k:
+                insort(clusters[pick], i)
+                post[pick] = posterior(clusters[pick])
+            else:
+                clusters.append([i])
+                post.append(posterior([i]))
+        # cluster values, base mean, base variance
+        phi = [mc + sqrt(sc) * n for (mc, sc, _), n in zip(post, nphi)]
+        k = len(clusters)
+        if update_eta:
+            prec, num = 1.0 / s_b + k / tau2, eta_b / s_b
+            for p in phi:
+                num += p / tau2
+            eta = num / prec + sqrt(1.0 / prec) * neta_all[t]
+        if update_tau2:
+            rate = phi2 / 2.0
+            for p in phi:
+                rate += 0.5 * (p - eta) ** 2
+            tau2 = rate / gam_all[t * L + k - 1]
+        if t == next_keep:
+            next_keep += thin
+            z_hist.extend(label)
+            theta_hist.extend(map(phi.__getitem__, label))
+            eta_hist.append(eta)
+            tau2_hist.append(tau2)
+    return (np.frombuffer(z_hist, dtype=np.int64).reshape(-1, L),
+            np.frombuffer(theta_hist).reshape(-1, L),
+            np.frombuffer(eta_hist), np.frombuffer(tau2_hist))
+
+
 def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     """Collapsed Gibbs sampler for the DPM with known observation variances.
 
@@ -141,7 +261,7 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
     for k in range(1, L + 1):
         gammas[:, k - 1] = rng.gamma(res["phi1"] / 2.0 + k / 2.0, 1.0, size=T)
 
-    z, theta, eta, tau2 = kernels.dpm_chain(
+    z, theta, eta, tau2 = dpm_chain(
         yc, data.v, res["m"], eta_c, res["s_b"], res["phi2"], eta0, tau20,
         cfg.fixed_eta is None, cfg.fixed_tau2 is None,
         cfg.burn_in, cfg.thin,
@@ -161,6 +281,10 @@ def dpm_gibbs(data: SurveyData, cfg: DpmConfig) -> DpmDraws:
         ci_upper=tuple(float(x) for x in shift + hi),
     )
 
+
+# ---------------------------------------------------------------------------
+# exact enumeration at fixed (eta, tau2)
+# ---------------------------------------------------------------------------
 
 #: Largest L the exact DPM oracle enumerates; :func:`dpm_quadrature` has
 #: no such bound of its own.
@@ -393,7 +517,7 @@ def _summarize(cfg: DpmConfig, mix: _DpmMixture) -> DpmQuadrature:
     owner, k = np.nonzero(kernels.membership(l)[:, blocks])   # by source
     blocks, cols = blocks[k], cols[k]
     ci = kernels.mixture_quantiles(w[blocks, cols], mean[blocks, cols],
-                                   np.sqrt(var[blocks, cols]), owner, _TAILS)
+                                   np.sqrt(var[blocks, cols]), owner, TAILS)
     ci += mix.shift
     return DpmQuadrature(
         config=cfg,

@@ -460,10 +460,10 @@ def covers95(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
     if n:
         f = _cdf_sum(data, jp, x, jp.grid.r - n)
         lo, hi = f - _ROUNDING, f + (tail[n - 1] + _ROUNDING)
-        if all(np.all((hi < b) | (lo > b)) for b in _TAILS):
-            return (f >= _TAILS[0]) & (f <= _TAILS[1])
+        if all(np.all((hi < b) | (lo > b)) for b in TAILS):
+            return (f >= TAILS[0]) & (f <= TAILS[1])
     f = mixture_cdf(data, jp, x)
-    return (f >= _TAILS[0]) & (f <= _TAILS[1])
+    return (f >= TAILS[0]) & (f <= TAILS[1])
 
 
 @dataclass(frozen=True)
@@ -600,7 +600,7 @@ def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.nda
 
 
 #: Quantile levels of the reported equal-tailed 95% intervals.
-_TAILS = (0.025, 0.975)
+TAILS = (0.025, 0.975)
 
 
 def interval95(x: np.ndarray) -> np.ndarray:
@@ -610,14 +610,14 @@ def interval95(x: np.ndarray) -> np.ndarray:
     "linear" method step for step, partitioning a copy at the same order
     statistics (the floor and ceiling of (n-1)q, and the first and last)
     and interpolating with numpy's two-sided lerp.  ``np.quantile`` lists
-    those order statistics with ``np.unique``, which imports ``numpy.ma``,
-    about 20 ms of every CLI process.  A column holding a NaN gets NaN at
-    both ends.
+    those order statistics with ``np.unique``, which imports ``numpy.ma``:
+    10-20 ms of every CLI process with numpy 2.4.6, by ``python -X
+    importtime``.  A column holding a NaN gets NaN at both ends.
     """
     arr = np.array(x, dtype=np.float64)
     n = arr.shape[0]
     lower, upper, gamma = [], [], []
-    for q in _TAILS:
+    for q in TAILS:
         virtual = (n - 1) * q
         if virtual >= n - 1:          # at the last value: numpy reads index -1 twice
             lo = hi = -1
@@ -629,7 +629,7 @@ def interval95(x: np.ndarray) -> np.ndarray:
         gamma.append(virtual - lo)
     arr.partition(sorted({0, -1, *lower, *upper}), axis=0)
     a, b = arr[lower], arr[upper]
-    t = np.array(gamma).reshape((len(_TAILS),) + (1,) * (arr.ndim - 1))
+    t = np.array(gamma).reshape((len(TAILS),) + (1,) * (arr.ndim - 1))
     diff = b - a
     out = np.add(a, diff * t)
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)

@@ -52,7 +52,7 @@ def logit_transform(y: int, n: int) -> tuple[float, float]:
     return estimate, variance
 
 
-def _read_lines(source) -> list[str]:
+def read_lines(source) -> list[str]:
     """Lines of a path or text stream, without a leading UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
         return Path(source).read_text(encoding="utf-8-sig").splitlines()
@@ -67,7 +67,7 @@ def parse_input(source) -> SurveyData:
     line number on malformed input, and on the line at which the sum of the
     precisions 1/V first overflows.
     """
-    reader = csv.reader(_read_lines(source))
+    reader = csv.reader(read_lines(source))
     rows, last = [], 0
     for row in reader:
         first, last = last + 1, reader.line_num

@@ -1,4 +1,4 @@
-"""The per-subset engine, erfc, normal-mixture quantiles and the DPM Gibbs chain.
+"""The per-subset engine, erfc and normal-mixture quantiles.
 
 Everything a partition contributes at a grid point depends only on sums over
 its clusters.  With w_i = 1/(delta2 + V_i), cluster S has precision
@@ -45,8 +45,6 @@ same recursion in log space for it.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -571,120 +569,3 @@ def mixture_quantiles(w, m, s, owner, q) -> np.ndarray:
         x = _newton(w[keep], m[keep], s[keep], owner[keep], q, x, lo, hi,
                     max(drop, _QUANTILE_TOL))
     return x.T
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet-process-mixture collapsed Gibbs chain (Neal 2000, Algorithm 3).
-#
-# The chain consumes pre-drawn variates, so the seed alone fixes its
-# trajectory: uniforms (T, L) drive the assignment choices, norm_phi (T, L)
-# the cluster-value draws, norm_eta (T,) the base-mean draw, and
-# gammas[t, k-1] ~ Gamma(phi1/2 + k/2, 1) the precision draw used when k
-# clusters are realized at sweep t.  The hyperprior shape phi1 enters only
-# through these pre-drawn shapes, so the chain itself does not take it.
-# ---------------------------------------------------------------------------
-
-def _flat(a: np.ndarray) -> memoryview:
-    """A flat float64 view of ``a`` whose items index as Python floats."""
-    return memoryview(np.ascontiguousarray(a, dtype=np.float64)).cast("B").cast("d")
-
-
-def dpm_chain(y, v, m, eta_b, s_b, phi2, eta0, tau20,
-              update_eta, update_tau2, burn, thin,
-              uniforms, norm_phi, norm_eta, gammas):
-    """Run T sweeps; return the labels, values, eta and tau2 of sweeps burn, burn+thin, ...
-
-    Cluster c is the ascending member list ``clusters[c]``, and source i
-    sits in cluster ``label[i]``.  A cluster's posterior mean and variance
-    start from 1/tau2 and eta/tau2 and add 1/V_j and y_j/V_j over its
-    members in ascending order.  They are cached for the sweep and
-    recomputed only for the cluster a source leaves or joins.  The caller
-    checks burn >= 0 and thin >= 1.
-    """
-    T, L = uniforms.shape
-    y, v = y.tolist(), v.tolist()
-    inv_v = [1.0 / vj for vj in v]
-    y_v = [yj / vj for yj, vj in zip(y, v)]
-    log_n = [0.0] + [math.log(n) for n in range(1, L + 1)]
-    log_m, log2pi = math.log(m), math.log(2.0 * math.pi)
-    log, exp, sqrt = math.log, math.exp, math.sqrt
-    u_all, nphi_all, neta_all, gam_all = map(_flat, (uniforms, norm_phi, norm_eta, gammas))
-    z_hist, theta_hist, eta_hist, tau2_hist = array("q"), array("d"), array("d"), array("d")
-
-    clusters = [[i] for i in range(L)]
-    label = list(range(L))
-    eta, tau2 = eta0, tau20
-    next_keep = burn
-    sites = range(L)
-
-    def posterior(members):
-        """Mean, variance and log size of a cluster's value given its members."""
-        prec, num = prec0, num0
-        for j in members:
-            prec += inv_v[j]
-            num += y_v[j]
-        return num / prec, 1.0 / prec, log_n[len(members)]
-
-    for t in range(T):
-        u, nphi = u_all[t * L:(t + 1) * L], nphi_all[t * L:(t + 1) * L]
-        prec0, num0 = 1.0 / tau2, eta / tau2
-        post = [posterior(members) for members in clusters]
-        for i in sites:
-            # detach i; deleting an emptied cluster shifts later labels down
-            c = label[i]
-            members = clusters[c]
-            members.remove(i)
-            if members:
-                post[c] = posterior(members)
-            else:
-                del clusters[c], post[c]
-                for j in sites:
-                    if label[j] > c:
-                        label[j] -= 1
-            # posterior predictive weight for each existing cluster, then a new one
-            yi, vi = y[i], v[i]
-            logw = []
-            for mc, sc, log_size in post:
-                tot = sc + vi
-                logw.append(log_size - 0.5 * (log2pi + log(tot)) - 0.5 * (yi - mc) ** 2 / tot)
-            tot = tau2 + vi
-            logw.append(log_m - 0.5 * (log2pi + log(tot)) - 0.5 * (yi - eta) ** 2 / tot)
-            mx = max(logw)
-            acc = []
-            s = 0.0
-            for lw in logw:
-                s += exp(lw - mx)
-                acc.append(s)
-            # the first cluster whose running sum reaches the target; a NaN opens one
-            k = len(clusters)
-            target = u[i] * s
-            pick = bisect_left(acc, target) if target == target else k
-            label[i] = pick
-            if pick < k:
-                insort(clusters[pick], i)
-                post[pick] = posterior(clusters[pick])
-            else:
-                clusters.append([i])
-                post.append(posterior([i]))
-        # cluster values, base mean, base variance
-        phi = [mc + sqrt(sc) * n for (mc, sc, _), n in zip(post, nphi)]
-        k = len(clusters)
-        if update_eta:
-            prec, num = 1.0 / s_b + k / tau2, eta_b / s_b
-            for p in phi:
-                num += p / tau2
-            eta = num / prec + sqrt(1.0 / prec) * neta_all[t]
-        if update_tau2:
-            rate = phi2 / 2.0
-            for p in phi:
-                rate += 0.5 * (p - eta) ** 2
-            tau2 = rate / gam_all[t * L + k - 1]
-        if t == next_keep:
-            next_keep += thin
-            z_hist.extend(label)
-            theta_hist.extend(map(phi.__getitem__, label))
-            eta_hist.append(eta)
-            tau2_hist.append(tau2)
-    return (np.frombuffer(z_hist, dtype=np.int64).reshape(-1, L),
-            np.frombuffer(theta_hist).reshape(-1, L),
-            np.frombuffer(eta_hist), np.frombuffer(tau2_hist))

@@ -86,7 +86,6 @@ class ClusterStats:
     lam: np.ndarray                   # shrinkage weight per member, in (0,1)
     lam_sum: float
     mu_hat: float                     # precision-weighted cluster mean
-    log_one_minus_lam_sum: float      # sum of log(1 - lam) over members
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,9 @@ def cluster_stats(data: SurveyData, cluster: Sequence[int], delta2: float) -> Cl
     v = data.v[members]
     y = data.y_hat[members]
     lam = delta2 / (delta2 + v)
-    one_minus = v / (delta2 + v)
     lam_sum = float(lam.sum())
     mu_hat = float((lam * y).sum() / lam_sum)
-    return ClusterStats(
-        lam=lam,
-        lam_sum=lam_sum,
-        mu_hat=mu_hat,
-        log_one_minus_lam_sum=float(np.log(one_minus).sum()),
-    )
+    return ClusterStats(lam=lam, lam_sum=lam_sum, mu_hat=mu_hat)
 
 
 def conditional_moments(data: SurveyData, p: Partition, delta2: float) -> ConditionalMoments:

@@ -197,7 +197,7 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("l", [3, DPM_QUADRATURE_MAX_L])
 def test_dpm_reports_by_quadrature_without_the_chain(tmp_path, monkeypatch, l):
-    for target in ("uncpool.baselines.dpm_gibbs", "uncpool.kernels.dpm_chain"):
+    for target in ("uncpool.baselines.dpm_gibbs", "uncpool.baselines.dpm_chain"):
         monkeypatch.setattr(target, _fail)
     out = tmp_path / "dpm.json"
     assert run_command(["dpm", "--input", str(_wide_input(tmp_path, l)),
@@ -456,6 +456,26 @@ def test_only_the_dpm_command_loads_the_dpm(dixie_file, tmp_path):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(cmd == "dpm"), cmd
+
+
+def test_the_dpm_chain_lives_in_baselines_alone(dixie_file, tmp_path):
+    # the engine every command compiles holds no DPM chain; dpm_gibbs reaches
+    # the chain through its module global, which tests may replace
+    import subprocess
+    import sys
+
+    argv = ["pool", "--input", str(dixie_file), "--r", "50", "--b", "200",
+            "--output", str(tmp_path / "pool")]
+    code = ("import sys\n"
+            "from uncpool.cli import run_command\n"
+            f"assert run_command({argv!r}) == 0\n"
+            "kernels = sys.modules['uncpool.kernels']\n"
+            "assert not hasattr(kernels, 'dpm_chain') and not hasattr(kernels, '_flat')\n"
+            "from uncpool import baselines\n"
+            "assert 'dpm_chain' in baselines.dpm_gibbs.__code__.co_names\n"
+            "assert baselines.dpm_gibbs.__globals__['dpm_chain'] is baselines.dpm_chain\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_commands_do_not_import_numpy_ma(dixie_file, tmp_path):

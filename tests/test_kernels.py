@@ -1,4 +1,4 @@
-"""The per-subset engine against the scalar oracle in ``model.py``, and the DPM chain."""
+"""The per-subset engine against the scalar oracle in ``model.py``, and ``baselines.dpm_chain``."""
 
 import math
 from bisect import insort
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from uncpool import DpmConfig, SurveyData, dpm_gibbs, q_statistic
-from uncpool import kernels
-from uncpool.kernels import dpm_chain, q_matrix, subset_table
+from uncpool import baselines, kernels
+from uncpool.baselines import dpm_chain
+from uncpool.kernels import q_matrix, subset_table
 from uncpool.partitions import enumerate_partitions, member_masks
 
 from conftest import make_dixie
@@ -202,6 +203,8 @@ def test_mixture_quantiles_solve_skewed_and_bimodal_mixtures():
     assert x[0, 0] < -4.0
 
 
+# ``baselines.dpm_chain``, the DPM's Gibbs sweeps, tested here under the
+# names its tests have always had.
 def _chain_inputs(seed=4, t=400, l=3):
     rng = np.random.default_rng(seed)
     y = np.array([0.254, 0.361, 0.359])
@@ -340,7 +343,7 @@ def test_dpm_gibbs_reference_panel_matches_reference_chain(monkeypatch):
     # Dixie k=1 at the default 12000 sweeps, through the library entry point
     data = make_dixie(1.0)
     got = dpm_gibbs(data, DpmConfig())
-    monkeypatch.setattr(kernels, "dpm_chain", reference_chain)
+    monkeypatch.setattr(baselines, "dpm_chain", reference_chain)
     want = dpm_gibbs(data, DpmConfig())
     for name in ("assignments", "theta", "eta", "tau2"):
         a, b = getattr(got, name), getattr(want, name)
