@@ -44,8 +44,8 @@ from . import kernels
 from .errors import ComputationError, DomainError
 from .io import survey_rows
 from .model import SurveyData
-from .partitions import (Partition, PartitionSpace, bell_number, display_label_l3,
-                         growth_codes, growth_labels, member_masks)
+from .partitions import (L3_LABELS, Partition, PartitionSpace, bell_number, growth_codes,
+                         growth_labels, member_masks, notations)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -195,13 +195,15 @@ class PosteriorDraws:
 
 
 def _draw_mu(data: SurveyData, table: kernels.SubsetTable, slots: np.ndarray,
-             cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+             masks: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw mu at given (partition, grid point) pairs, one row per entry of ``cols``.
 
     ``slots`` (n, L) holds each source's cluster label (its growth-string
-    value) and ``cols`` (n,) the table column.  Two-stage ancestral scheme: per
-    cluster S, draw the cluster mean nu_S ~ N(ybar_S, 1 / A_S), then each
-    member mu_i = y_i + (1 - lam_i)(nu_S - y_i) plus an independent
+    value), ``masks`` (n, L) the bitmask of the cluster holding it
+    (:func:`member_masks` of ``slots``) and ``cols`` (n,) the table column.
+    Two-stage ancestral scheme: per cluster S, draw the cluster mean
+    nu_S ~ N(ybar_S, 1 / A_S), then each member
+    mu_i = y_i + (1 - lam_i)(nu_S - y_i) plus an independent
     N(0, delta2 (1 - lam_i)), the conditional posterior of
     :func:`exact_mixture_moments`.
     """
@@ -209,7 +211,7 @@ def _draw_mu(data: SurveyData, table: kernels.SubsetTable, slots: np.ndarray,
     # run's peak; per-cell factors are gathered from (R, L) views.
     n, l = slots.shape
     terms = table.terms
-    flat = member_masks(slots) * table.a.shape[1] + cols[:, None]   # cluster's table entry
+    flat = masks * table.a.shape[1] + cols[:, None]            # cluster's table entry
     nu = rng.standard_normal((n, l)).take(slots + np.arange(0, n * l, l)[:, None])
     nu /= np.sqrt(table.a.take(flat))
     nu += table.ybar.take(flat)
@@ -231,8 +233,10 @@ def _draw_mu_for_partition(data: SurveyData, p: Partition, delta2: np.ndarray,
     """
     d2, cols = np.unique(delta2, return_inverse=True)
     table = kernels.subset_table(data.y_hat, data.v, d2)
-    return _draw_mu(data, table, np.broadcast_to(p.assignment, (delta2.shape[0], p.l)),
-                    cols, rng)
+    labels = np.array(p.assignment)
+    shape = (delta2.shape[0], p.l)
+    return _draw_mu(data, table, np.broadcast_to(labels, shape),
+                    np.broadcast_to(member_masks(labels), shape), cols, rng)
 
 
 @lru_cache(maxsize=None)
@@ -306,6 +310,23 @@ def _peel(jp: JointGridPosterior, first: np.ndarray, cols: np.ndarray,
         label += 1
 
 
+def _labels_and_masks(codes: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, L) :func:`growth_labels` and :func:`member_masks` of each of (n,) codes.
+
+    Both are built once per distinct code and gathered back: 5000 draws at
+    L = 8 hold about 110 distinct partitions.  The codes are grouped by
+    ``argsort``, as ``np.unique`` would, without ``np.unique``'s import of
+    ``numpy.ma``.
+    """
+    order = np.argsort(codes)
+    ranked = codes[order]
+    new = np.r_[True, ranked[1:] != ranked[:-1]]
+    which = np.empty_like(order)
+    which[order] = np.cumsum(new) - 1
+    labels = growth_labels(ranked[new], l)
+    return labels.take(which, axis=0), member_masks(labels).take(which, axis=0)
+
+
 def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> PosteriorDraws:
     """Draw B values of mu by ancestral sampling from the grid posterior.
 
@@ -325,7 +346,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     first, j_idx = np.divmod(cells, r)
     first = 2 * first + 1
     codes = _peel(jp, first, j_idx, rng)
-    mu = _draw_mu(data, jp.table, growth_labels(codes, data.l), j_idx, rng)
+    mu = _draw_mu(data, jp.table, *_labels_and_masks(codes, data.l), j_idx, rng)
     return PosteriorDraws(
         b=b,
         mu=mu,
@@ -553,6 +574,14 @@ class SummaryTable:
         return d
 
 
+#: Most float64 values each array of one chunk of :func:`_listed_partitions`
+#: holds, unless one prefix's splits need more.  Listing every partition
+#: then holds about one chunk per block label, not the Bell(L) x R
+#: frontier; smaller chunks also ran faster: ``marginal_g`` at L = 9,
+#: R = 2000 took 170 ms at 2^16 values, 200 ms at 2^20 and 450 ms unchunked.
+_LIST_CELLS = 1 << 16
+
+
 def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Codes and probabilities of the partitions with p(pi) >= threshold, in space order.
 
@@ -566,20 +595,31 @@ def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.nda
     A prefix that leaves at most one source free is complete, the lone
     source being the last block (Z of a single source is its phi), and
     its mass is the exact p(pi).
+    Prefixes are grown depth first, in chunks of about ``_LIST_CELLS`` /
+    R splits (one prefix at least), so memory stays bounded at
+    threshold 0, where every partition is listed; each prefix's mass is
+    the same row sum whatever chunk holds it.
     """
     l = jp.y_hat.size
     splits = kernels.subset_splits(l)
     weight = _block_codes(l)
     cut = threshold * (1.0 - 1e-12)
-    rest = np.array([(1 << l) - 1])
-    scale = (jp.delta2_probs / jp.z[-1])[None, :]   # p(j) prod phi / Z(full) per prefix
-    codes = np.zeros(1, dtype=np.int64)
+    budget = _LIST_CELLS // jp.grid.r
+    # each entry: the free sources U of some prefixes, their p(j) prod phi / Z(full)
+    # rows, their codes so far, and the label of their next block
+    todo = [(np.array([(1 << l) - 1]), (jp.delta2_probs / jp.z[-1])[None, :],
+             np.zeros(1, dtype=np.int64), 0)]
     found_codes, found_probs = [], []
-    label = 0
-    while rest.size:
+    while todo:
+        rest, scale, codes, label = todo.pop()
         count = splits.count[rest]
-        parent = np.repeat(np.arange(rest.shape[0]), count)
-        rows = np.arange(parent.shape[0]) + (splits.start[rest] - np.cumsum(count) + count)[parent]
+        ends = np.cumsum(count)
+        n = max(1, int(ends.searchsorted(budget, side="right")))
+        if n < rest.size:
+            todo.append((rest[n:], scale[n:], codes[n:], label))
+            rest, scale, codes, count, ends = rest[:n], scale[:n], codes[:n], count[:n], ends[:n]
+        parent = np.repeat(np.arange(n), count)
+        rows = np.arange(ends[-1]) + (splits.start[rest] - ends + count)[parent]
         block, left = splits.block[rows], splits.rest[rows]
         scale = scale.take(parent, axis=0)
         scale *= jp.phi.take(block, axis=0)
@@ -591,8 +631,8 @@ def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.nda
         found_codes.append(codes[done] + (label + 1) * weight[left[done]])
         found_probs.append(mass[done])
         go = np.flatnonzero(keep & ~lone)
-        rest, scale, codes = left[go], scale.take(go, axis=0), codes[go]
-        label += 1
+        if go.size:
+            todo.append((left[go], scale.take(go, axis=0), codes[go], label + 1))
     codes, probs = np.concatenate(found_codes), np.concatenate(found_probs)
     keep = np.flatnonzero(probs >= threshold)
     order = keep[np.argsort(codes[keep])]
@@ -603,19 +643,36 @@ def _listed_partitions(jp: JointGridPosterior, threshold: float) -> tuple[np.nda
 TAILS = (0.025, 0.975)
 
 
+def order_statistics(x, ks) -> np.ndarray:
+    """(len(ks), ...) the ks-th smallest values of ``x`` along axis 0; NaN sorts last.
+
+    Reads them from one sorted copy with axis 0 moved last, so the sort runs
+    along contiguous memory: numpy 2.4.6 sorts float64 rows with AVX-512
+    where the CPU has it, and on (5000, 8) draws this took 0.19-0.22 ms,
+    where ``ndarray.partition`` at six order statistics along the strided
+    axis 0 took 0.79-0.94 ms.  An order statistic is one value whichever
+    algorithm finds it, so every reader gets the bits a partition gives;
+    of tied zeros of either sign, the median tests pin the one numpy picks.
+    """
+    arr = np.array(np.moveaxis(np.asarray(x, dtype=np.float64), 0, -1), order="C")
+    arr.sort(axis=-1)
+    return np.moveaxis(arr[..., ks], -1, 0)
+
+
 def interval95(x: np.ndarray) -> np.ndarray:
     """(2, ...) 2.5% and 97.5% quantiles of ``x`` along axis 0.
 
     Equals ``np.quantile(x, [0.025, 0.975], axis=0)`` bit for bit: numpy's
-    "linear" method step for step, partitioning a copy at the same order
-    statistics (the floor and ceiling of (n-1)q, and the first and last)
-    and interpolating with numpy's two-sided lerp.  ``np.quantile`` lists
-    those order statistics with ``np.unique``, which imports ``numpy.ma``:
-    10-20 ms of every CLI process with numpy 2.4.6, by ``python -X
-    importtime``.  A column holding a NaN gets NaN at both ends.
+    "linear" method step for step, reading the same order statistics (the
+    floor and ceiling of (n-1)q, and the last) from
+    :func:`order_statistics`, which sorts a copy rather than partition one
+    because a contiguous sort is the faster, and interpolating with numpy's
+    two-sided lerp.  ``np.quantile`` lists those order statistics with
+    ``np.unique``, which imports ``numpy.ma``: 10-20 ms of every CLI
+    process with numpy 2.4.6, by ``python -X importtime``.  A column
+    holding a NaN gets NaN at both ends.
     """
-    arr = np.array(x, dtype=np.float64)
-    n = arr.shape[0]
+    n = np.shape(x)[0]
     lower, upper, gamma = [], [], []
     for q in TAILS:
         virtual = (n - 1) * q
@@ -627,15 +684,15 @@ def interval95(x: np.ndarray) -> np.ndarray:
         lower.append(lo)
         upper.append(hi)
         gamma.append(virtual - lo)
-    arr.partition(sorted({0, -1, *lower, *upper}), axis=0)
-    a, b = arr[lower], arr[upper]
-    t = np.array(gamma).reshape((len(TAILS),) + (1,) * (arr.ndim - 1))
+    stats = order_statistics(x, [*lower, *upper, -1])
+    a, b, last = stats[:2], stats[2:4], stats[4]
+    t = np.array(gamma).reshape((len(TAILS),) + (1,) * (stats.ndim - 1))
     diff = b - a
     out = np.add(a, diff * t)
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    nan = np.isnan(arr[-1])
+    nan = np.isnan(last)
     if nan.any():
-        np.copyto(out, arr[-1], where=nan)
+        np.copyto(out, last, where=nan)
     return out
 
 
@@ -651,18 +708,21 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
     enumeration order, keyed by cluster notation, with the conventional
     1..5 labels attached when L = 3.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise DomainError(f"threshold must be a probability in [0, 1], got {threshold}")
     _check_sources(data, jp)
     if draws.mu.ndim != 2 or draws.mu.shape[1] != data.l:
         raise DomainError(f"draws of mu must have one column per source, L={data.l}; "
                           f"got shape {draws.mu.shape}")
     mean, sd = exact_mixture_moments(data, jp)
     lo, hi = interval95(draws.mu)
-    probs = []
     listed, listed_probs = _listed_partitions(jp, threshold)
-    for labels, prob in zip(growth_labels(listed, data.l).tolist(), listed_probs.tolist()):
-        p = Partition(tuple(labels))
-        label = display_label_l3(p) if data.l == 3 else None
-        probs.append(PartitionMass(notation=p.notation(), prob=prob, label=label))
+    labels = growth_labels(listed, data.l)
+    names = notations(labels)
+    l3 = ([L3_LABELS[tuple(row)] for row in labels.tolist()] if data.l == 3
+          else [None] * len(names))
+    probs = tuple(PartitionMass(notation=name, prob=prob, label=label)
+                  for name, prob, label in zip(names, listed_probs.tolist(), l3))
     return SummaryTable(
         labels=data.labels,
         observed=tuple(float(x) for x in data.y_hat),
@@ -671,6 +731,6 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
         post_sd=tuple(float(x) for x in sd),
         ci_lower=tuple(float(x) for x in lo),
         ci_upper=tuple(float(x) for x in hi),
-        partition_probs=tuple(probs),
+        partition_probs=probs,
         pool_all=pool_all,
     )

@@ -328,9 +328,9 @@ def partition_sums(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     z = np.empty_like(phi) if out is None else out
     z[0] = 1.0
     for us, block, rest, ph, zc in _split_layers(phi, z):
-        prod = ph.take(block, axis=0)
-        prod *= zc.take(rest, axis=0)
-        zc[us] = prod.reshape(us.shape[0], -1, prod.shape[1]).sum(axis=1)
+        shape = (us.shape[0], -1, ph.shape[1])
+        zc[us] = np.einsum("ukr,ukr->ur", ph.take(block, axis=0).reshape(shape),
+                           zc.take(rest, axis=0).reshape(shape))
     return z
 
 

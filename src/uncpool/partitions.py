@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -226,6 +226,25 @@ def member_masks(labels: np.ndarray) -> np.ndarray:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _subset_names(l: int) -> tuple[str, ...]:
+    """(2^L,) the ``{1,3}`` display form of every subset bitmask of L sources."""
+    return tuple("{" + ",".join(str(i + 1) for i in range(l) if s >> i & 1) + "}"
+                 for s in range(1 << l))
+
+
+def notations(labels: np.ndarray) -> list[str]:
+    """The :meth:`Partition.notation` of each row of an (n, L) array of growth strings.
+
+    Joins the cached names of each row's cluster bitmasks in order of first
+    appearance, which for a growth string is the order of the clusters'
+    smallest members; no ``Partition`` is built.
+    """
+    names = _subset_names(labels.shape[1])
+    return ["|".join(names[m] for m in dict.fromkeys(row))
+            for row in member_masks(labels).tolist()]
+
+
 def _growth_string_array(l: int) -> np.ndarray:
     """(B(l), l) array of all restricted growth strings of length l, lexicographically.
 
@@ -265,10 +284,10 @@ def enumerate_partitions(l: int) -> PartitionSpace:
     return PartitionSpace(l)
 
 
-# Conventional 1..5 numbering used in three-source reports.  Keys are growth
-# strings in canonical order; values follow the customary listing
-# {(123)}, {(13),(2)}, {(12),(3)}, {(23),(1)}, {(1),(2),(3)}.
-_L3_LABELS = {
+#: Conventional 1..5 numbering used in three-source reports.  Keys are growth
+#: strings in canonical order; values follow the customary listing
+#: {(123)}, {(13),(2)}, {(12),(3)}, {(23),(1)}, {(1),(2),(3)}.
+L3_LABELS = {
     (0, 0, 0): 1,
     (0, 1, 0): 2,
     (0, 0, 1): 3,
@@ -285,4 +304,4 @@ def display_label_l3(p: Partition) -> int:
     """
     if p.l != 3:
         raise DomainError(f"display labels are defined only for L=3, got L={p.l}")
-    return _L3_LABELS[p.assignment]
+    return L3_LABELS[p.assignment]

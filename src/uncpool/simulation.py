@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .grid import (DeltaGrid, build_grid, covers95, evaluate_joint, exact_mixture_moments,
-                   marginal_g)
+                   marginal_g, order_statistics)
 from .io import read_lines
 from .model import SurveyData
 from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
@@ -103,19 +103,18 @@ def generate_replicate(s: SimScenario, rep_index: int) -> SurveyData:
 def median(x: np.ndarray) -> np.ndarray:
     """Median of ``x`` along axis 0.
 
-    Equals ``np.median(x, axis=0)`` bit for bit: numpy's steps, partitioning
-    a copy at the same order statistics (the middle one or two, and the
-    last), averaging the middle ones with ``mean``, and giving a column
-    whose last order statistic is NaN that NaN.  ``np.median``'s NaN check
-    imports ``numpy.ma``, 10-20 ms of a process with numpy 2.4.6 (see
-    ``grid.interval95``).
+    Equals ``np.median(x, axis=0)`` bit for bit: numpy's steps, reading the
+    same order statistics (the middle one or two, and the last) through
+    ``grid.order_statistics``, averaging the middle ones with ``mean``, and
+    giving a column whose last order statistic is NaN that NaN.
+    ``np.median``'s NaN check imports ``numpy.ma``, 10-20 ms of a process
+    with numpy 2.4.6 (see ``grid.interval95``).
     """
-    arr = np.array(x, dtype=np.float64)
-    n = arr.shape[0]
+    n = np.shape(x)[0]
     mid = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
-    arr.partition([*mid, -1], axis=0)
-    out = arr[mid[0]:mid[-1] + 1].mean(axis=0)
-    return np.where(np.isnan(arr[-1]), arr[-1], out)
+    stats = order_statistics(x, [*mid, -1])
+    out = stats[:-1].mean(axis=0)
+    return np.where(np.isnan(stats[-1]), stats[-1], out)
 
 
 def sd_reduction(post_sd: float, obs_se: float) -> float:

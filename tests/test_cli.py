@@ -478,6 +478,28 @@ def test_the_dpm_chain_lives_in_baselines_alone(dixie_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_private_name_crosses_a_module():
+    # a module's underscore names are its own: no other module of the package
+    # imports one or reads one off a module object
+    import ast
+
+    import uncpool
+
+    root = Path(uncpool.__file__).parent
+    modules = {p.stem for p in root.glob("*.py")}
+    crossings = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossings += [f"{path.stem}: {node.module}.{a.name}" for a in node.names
+                              if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not node.attr.startswith("__")):
+                crossings.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert crossings == []
+
+
 def test_commands_do_not_import_numpy_ma(dixie_file, tmp_path):
     # np.quantile reaches np.unique, and np.median's NaN check calls np.ma, so both
     # import numpy.ma; the intervals and the simulation medians avoid them

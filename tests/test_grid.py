@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from uncpool import (ComputationError, DomainError, JointGridPosterior, Partition,
-                     SurveyData, build_grid, conditional_moments, enumerate_partitions,
-                     evaluate_joint, exact_mixture_moments, log_joint_kernel,
+                     SurveyData, build_grid, conditional_moments, display_label_l3,
+                     enumerate_partitions, evaluate_joint, exact_mixture_moments, log_joint_kernel,
                      marginal_delta2, marginal_g, pool_all, q_statistic, sample_mu, summarize)
 from uncpool import grid, kernels
 from uncpool.grid import (PosteriorDraws, _draw_mu_for_partition, covers95, interval95,
@@ -581,7 +581,42 @@ def test_enumeration_and_lattice_create_no_partition(monkeypatch):
     exact_mixture_moments(data, jp)
     assert made == []
     table = summarize(data, jp, draws, threshold=1e-3)
-    assert 0 < len(made) == len(table.partition_probs) < space.g
+    assert made == [] and 0 < len(table.partition_probs) < space.g
+
+
+@pytest.mark.parametrize("l", [3, 8])
+def test_labels_and_masks_per_distinct_partition_equal_per_draw(l):
+    data = small_data(np.random.default_rng(60 + l), l)
+    jp = evaluate_joint(data, enumerate_partitions(l), build_grid(50))
+    codes = sample_mu(data, jp, 2000, seed=4).codes
+    labels, masks = grid._labels_and_masks(codes, l)
+    assert np.array_equal(labels, growth_labels(codes, l))
+    assert np.array_equal(masks, member_masks(growth_labels(codes, l)))
+    one = grid._labels_and_masks(codes[:1], l)
+    assert np.array_equal(one[0], growth_labels(codes[:1], l))
+
+
+@pytest.mark.parametrize("l", range(1, 8))
+def test_summarize_names_every_partition_as_partition_does(l):
+    data = small_data(np.random.default_rng(80 + l), l)
+    space = enumerate_partitions(l)
+    jp = evaluate_joint(data, space, build_grid(30))
+    table = summarize(data, jp, sample_mu(data, jp, 50, seed=1), threshold=0.0)
+    assert [pm.notation for pm in table.partition_probs] == [
+        p.notation() for p in space.partitions]
+    assert [pm.label for pm in table.partition_probs] == [
+        display_label_l3(p) if l == 3 else None for p in space.partitions]
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-300, 1.5])
+def test_summarize_rejects_threshold_outside_unit_interval(threshold):
+    # nan listed nothing, and a negative threshold every partition
+    data = small_data(np.random.default_rng(5), 4)
+    jp = evaluate_joint(data, enumerate_partitions(4), build_grid(20))
+    draws = sample_mu(data, jp, 10, seed=0)
+    with pytest.raises(DomainError, match=r"threshold must be a probability in \[0, 1\]"):
+        summarize(data, jp, draws, threshold=threshold)
+    assert len(summarize(data, jp, draws, threshold=1.0).partition_probs) <= 1
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1e-3, 0.5])

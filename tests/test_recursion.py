@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uncpool import (SurveyData, build_grid, enumerate_partitions, evaluate_joint,
                      exact_mixture_moments, log_inv_beta_prior, marginal_g, pool_all,
                      sample_mu, summarize)
-from uncpool import kernels, partitions
+from uncpool import grid, kernels, partitions
 from uncpool.grid import _listed_partitions
 from uncpool.kernels import partition_sums, q_matrix, subset_splits, subset_table
 from uncpool.partitions import PartitionSpace, growth_codes, member_masks
@@ -86,6 +86,22 @@ def test_partition_sums_match_products_over_partitions(l):
     assert partition_sums(phi)[-1] == pytest.approx(brute, rel=1e-13)
 
 
+@pytest.mark.parametrize("l", range(1, 10))
+def test_partition_sums_equal_take_multiply_sum_bit_for_bit(l):
+    # the einsum over each layer's splits sums the products in the order of a
+    # take, an in-place multiply and a sum over the splits of each subset
+    phi = np.random.default_rng(30 + l).uniform(0.0, 1.0, size=(1 << l, 37))
+    phi[0] = 0.0
+    want = np.empty_like(phi)
+    want[0] = 1.0
+    for us, block, rest, ph, zc in kernels._split_layers(phi, want):
+        prod = ph.take(block, axis=0)
+        prod *= zc.take(rest, axis=0)
+        zc[us] = prod.reshape(us.shape[0], -1, prod.shape[1]).sum(axis=1)
+    got = partition_sums(phi)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_partition_sums_in_column_blocks(monkeypatch):
     phi = np.random.default_rng(0).uniform(0.05, 1.0, size=(1 << 6, 11))
     whole = partition_sums(phi)
@@ -121,6 +137,37 @@ def test_recursion_matches_lattice(l):
     assert np.max(np.abs(marginal_g(jp) - pg)) < 1e-12
     # the pruned listing keeps exactly the partitions at or above the threshold
     assert np.array_equal(_listed_partitions(jp, 1e-3)[0], every[pg >= 1e-3])
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 10, 1 << 62])
+def test_listing_in_chunks_equals_the_unchunked_walk(monkeypatch, cells):
+    # chunks of one prefix, of a few splits and of every prefix of a level
+    # give the same partitions and bit-identical masses
+    data = random_data(np.random.default_rng(71), 7)
+    jp = evaluate_joint(data, enumerate_partitions(7), build_grid(40))
+    monkeypatch.setattr(grid, "_LIST_CELLS", 1 << 62)     # a level at a time: no chunks
+    whole = [_listed_partitions(jp, t) for t in (0.0, 1e-4)]
+    monkeypatch.setattr(grid, "_LIST_CELLS", cells)
+    for t, (codes, probs) in zip((0.0, 1e-4), whole):
+        got_codes, got_probs = _listed_partitions(jp, t)
+        assert np.array_equal(got_codes, codes) and got_probs.tobytes() == probs.tobytes()
+    assert whole[0][0].shape == (877,)
+
+
+def test_marginal_g_memory_does_not_grow_with_bell_l_times_r():
+    # the whole Bell(9) x 2000 frontier held 324 MB at once; chunks hold a few MB
+    import tracemalloc
+
+    data = random_data(np.random.default_rng(9), 9)
+    jp = evaluate_joint(data, enumerate_partitions(9), build_grid(2000))
+    tracemalloc.start()
+    try:
+        pg = marginal_g(jp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pg.shape == (21147,) and pg.sum() == pytest.approx(1.0, abs=1e-12)
+    assert peak < 32 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("l", [4, 8, 10])

@@ -21,7 +21,7 @@ def test_report_matrix_reruns_byte_for_byte(tmp_path):
     tool = _load_tool()
     first, second = tmp_path / "first", tmp_path / "second"
     runs = tool.write_matrix(first)
-    assert tool.write_matrix(second) == runs == 124
+    assert tool.write_matrix(second) == runs == 127
     a, b = _tree(first), _tree(second)
     assert a == b
     reports = [name for name in a if name.startswith("reports")]

@@ -9,7 +9,8 @@ importable, and writes into OUTDIR:
   on the six reference panels (Dixie with the CDC SE at 0.5, 1 and 2 times
   the HS SE; Orange with the SAHIE SE at 0.036, 0.089 and 0.179);
 - ``dpm`` through the Gibbs chain on an L=7 input;
-- ``pool --r 200 --threshold 0`` and ``pool-all --r 200`` on an L=8 input;
+- ``pool --r 200 --threshold 0``, ``pool --r 200`` at the default threshold
+  in json, md and csv, and ``pool-all --r 200`` on an L=8 input;
 - ``pool`` and ``dpm`` on three equal estimates and on an L=1 input;
 - ``dpm`` in json at seed 0 on three equal estimates of 0.7, where a
   sample variance of equal values is not exactly 0;
@@ -85,6 +86,9 @@ def _runs(inputs: Path, out: Path):
            out / "dpm-wide_7-chain.json")
     yield (["pool", "--input", extra["wide_8"], "--r", "200", "--threshold", "0"],
            out / "pool-wide_8-r200.json")
+    for fmt in FORMATS:
+        yield (["pool", "--input", extra["wide_8"], "--r", "200", "--format", fmt],
+               out / f"pool-wide_8-r200-default.{fmt}")
     yield ["pool-all", "--input", extra["wide_8"], "--r", "200"], out / "pool-all-wide_8-r200.json"
     for name in ("equal_3", "single_1"):
         for cmd in ("pool", "dpm"):
