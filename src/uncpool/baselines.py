@@ -358,7 +358,7 @@ def dpm_exact(data: SurveyData, eta: float, tau2: float, m: float) -> DpmExactRe
     score, mean, var = (x[:, 0] for x in _dpm_blocks(t, np.array([eta - t.shift]),
                                                        np.array([tau2]), m))
     score[0] = 0.0   # the empty set pads partitions with fewer than L clusters
-    logw = score[space.cluster_masks].sum(axis=1)
+    logw = kernels.q_matrix(score[:, None], space.cluster_masks)[:, 0]
     w = np.exp(logw - logw.max())
     w /= w.sum()
     # each source's conjugate cluster posterior, (G, L), about the table's shift

@@ -12,7 +12,7 @@ from .errors import UncpoolError
 from .grid import build_grid, evaluate_joint, marginal_g, pool_all, sample_mu, summarize
 from .io import (DpmConfig, RunConfig, ReportDocument, input_echo, parse_input, render_report,
                  survey_rows)
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, notations
 
 #: Largest L whose ``dpm`` report comes from ``baselines.dpm_quadrature``:
 #: the largest L at which it was measured faster than the default
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, config):
         p.add_argument("--input", required=True, help="CSV input file")
         p.add_argument("--seed", type=int, default=config.seed)
-        p.add_argument("--format", choices=("json", "csv", "md"), default=RunConfig.format)
+        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         p.add_argument("--output", help="output file (default: stdout)")
 
     def add_grid(p):
@@ -92,20 +92,23 @@ def _echo(cfg, names: tuple[str, ...]) -> dict:
     return {name: getattr(cfg, name) for name in names}
 
 
-_GRID_ECHO = ("r", "b", "seed", "format")
+_GRID_ECHO = ("r", "b", "seed")
 
 
 def _report(args, kind: str, data, config: dict, results: dict) -> int:
-    """Build, render and write the report of one analysis command; its exit status."""
-    doc = ReportDocument(kind=kind, input=input_echo(data), config=config, results=results)
+    """Build, render and write the report of one analysis command; its exit status.
+
+    The echoed config gains the output format, which no analysis reads.
+    """
+    doc = ReportDocument(kind=kind, input=input_echo(data),
+                         config={"format": args.format, **config}, results=results)
     _write(render_report(doc, args.format), args.output)
     return 0
 
 
 def _cmd_pool(args) -> int:
     data = parse_input(args.input)
-    cfg = RunConfig(r=args.r, b=args.b, seed=args.seed, format=args.format,
-                    threshold=args.threshold)
+    cfg = RunConfig(r=args.r, b=args.b, seed=args.seed, threshold=args.threshold)
     space = enumerate_partitions(data.l)
     grid = build_grid(cfg.r)
     jp = evaluate_joint(data, space, grid)
@@ -118,7 +121,7 @@ def _cmd_pool(args) -> int:
 
 def _cmd_pool_all(args) -> int:
     data = parse_input(args.input)
-    cfg = RunConfig(r=args.r, b=args.b, seed=args.seed, format=args.format)
+    cfg = RunConfig(r=args.r, b=args.b, seed=args.seed)
     pa = pool_all(data, build_grid(cfg.r), b=cfg.b, seed=_child_seed(cfg.seed, 1))
     return _report(args, "pool-all", data, _echo(cfg, _GRID_ECHO), {"pool_all": pa.to_dict()})
 
@@ -134,7 +137,7 @@ def _cmd_dpm(args) -> int:
         method, post = "gibbs", baselines.dpm_gibbs(data, dpm_cfg)
     rows = survey_rows(data.labels, data.y_hat.tolist(), post.post_mean,
                        np.sqrt(data.v).tolist(), post.post_sd, post.ci_lower, post.ci_upper)
-    config = {"format": args.format, "hyperparameters": post.resolved,
+    config = {"hyperparameters": post.resolved,
               **_echo(dpm_cfg, ("seed", "m", "iterations", "burn_in", "thin"))}
     return _report(args, "dpm", data, config, {"dpm": {"method": method, "rows": rows}})
 
@@ -153,12 +156,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_partitions(args) -> int:
     space = enumerate_partitions(args.l)
-    if args.input:
+    masses = None
+    if args.input:   # before the names, so the posterior's arrays are freed first
         data = parse_input(args.input)
-        masses = marginal_g(evaluate_joint(data, space, build_grid(args.r)))
-        lines = [f"{p.notation()}\t{m:.6f}" for p, m in zip(space.partitions, masses)]
-    else:
-        lines = [p.notation() for p in space.partitions]
+        masses = marginal_g(evaluate_joint(data, space, build_grid(args.r))).tolist()
+    lines = notations(space.assignment_array)
+    if masses is not None:
+        lines = [f"{name}\t{m:.6f}" for name, m in zip(lines, masses)]
     _write("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -109,13 +109,15 @@ class JointGridPosterior:
     def log_mass(self) -> np.ndarray:
         """(G, R) normalised log mass of every (partition, cell) pair.
 
-        Built from the table on first read, in O(Bell(L) R) time and memory;
-        nothing in the analysis path reads it.
+        Sums log phi(S, j) = -q_S/2 - 1/2, the block factor :func:`_solve`
+        exponentiates, over each partition's blocks, the padding empty set
+        adding 0, then adds log_cell - log_evidence.  Built on first read,
+        in O(Bell(L) R) time and memory; nothing in the analysis path reads it.
         """
-        lm = kernels.q_matrix(self.table, self.space.cluster_masks)
-        lm *= -0.5
+        log_phi = -0.5 * self.table.q - 0.5
+        log_phi[0] = 0.0
+        lm = kernels.q_matrix(log_phi, self.space.cluster_masks)
         lm += (self.log_cell - self.log_evidence)[None, :]
-        lm -= 0.5 * self.space.d_array[:, None]
         return lm
 
 
@@ -327,6 +329,14 @@ def _labels_and_masks(codes: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray
     return labels.take(which, axis=0), member_masks(labels).take(which, axis=0)
 
 
+def _check_draws(b: int, seed: int) -> None:
+    """Refuse a draw count below 1, and a negative seed as ``RunConfig`` does."""
+    if b < 1:
+        raise DomainError(f"draw count must be >= 1, got {b}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> PosteriorDraws:
     """Draw B values of mu by ancestral sampling from the grid posterior.
 
@@ -337,8 +347,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
     Reproducible given the seed.
     """
     _check_sources(data, jp)
-    if b < 1:
-        raise DomainError(f"draw count must be >= 1, got {b}")
+    _check_draws(b, seed)
     rng = np.random.default_rng(seed)
     r = jp.grid.r
     mass = jp.block_mass[1::2].ravel()   # odd S hold source 0
@@ -419,6 +428,8 @@ def _checked_point(data: SurveyData, jp: JointGridPosterior, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (data.l,):
         raise DomainError(f"need one point per source, shape ({data.l},), got {x.shape}")
+    if np.isnan(x).any():
+        raise DomainError(f"the point of source {data.labels[np.argmax(np.isnan(x))]} is NaN")
     return x
 
 
@@ -426,7 +437,6 @@ def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int)
     """(L,) the sum of :func:`mixture_cdf` over the cells [0, stop) only."""
     t, w, terms = jp.table, jp.block_mass, jp.table.terms
     c = (data.y_hat - t.shift)[:, None, None]               # y_i in the table's terms
-    gap = (data.y_hat - x)[:, None, None]
     sd = terms.cdf_sd                                       # sqrt(2 s^2)
     held = kernels.holders(data.l)
     total = np.zeros(data.l)
@@ -436,8 +446,9 @@ def _cdf_sum(data: SurveyData, jp: JointGridPosterior, x: np.ndarray, stop: int)
         arg = t.ybar[:, cols].take(held, axis=0)          # (L, H, cells), then (m - x) / sd
         arg -= c
         arg *= terms.oml[:, None, cols]
-        arg += gap
-        arg /= sd[:, :, cols]
+        with np.errstate(over="ignore"):   # a point near +-1e308 gives +-inf, which erfc takes
+            arg += (data.y_hat - x)[:, None, None]
+            arg /= sd[:, :, cols]
         total += np.einsum("lhr,lhr->l", w[:, cols].take(held, axis=0), kernels.erfc(arg))
     total *= 0.5
     return total
@@ -515,8 +526,7 @@ def pool_all(data: SurveyData, grid: DeltaGrid, b: int = 5000, seed: int = 0,
     """
     if data.l < 2:
         raise DomainError(f"complete pooling needs L >= 2, got L={data.l}")
-    if b < 1:
-        raise DomainError(f"draw count must be >= 1, got {b}")
+    _check_draws(b, seed)
     if jp is None:
         jp = _solve(data, grid)
     _check_sources(data, jp)

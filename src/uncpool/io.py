@@ -136,7 +136,6 @@ class RunConfig:
     r: int = 2000
     b: int = 5000
     seed: int = 0
-    format: str = "json"
     threshold: float = 0.001
 
     def __post_init__(self):
@@ -146,8 +145,6 @@ class RunConfig:
             raise DomainError("draw count b must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.format not in ("json", "csv", "md"):
-            raise DomainError(f"unknown output format {self.format!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise DomainError(f"threshold must be a probability in [0, 1], got {self.threshold}")
 

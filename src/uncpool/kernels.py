@@ -201,20 +201,22 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     return SubsetTable(terms=terms, shift=shift, ybar=ybar, q=q)
 
 
-def q_matrix(table: SubsetTable, cluster_masks: np.ndarray) -> np.ndarray:
-    """(G, R) within-cluster misfit of every (partition, grid point) pair.
+def q_matrix(rows: np.ndarray, cluster_masks: np.ndarray) -> np.ndarray:
+    """(G, C) sum of per-subset ``rows`` over the blocks of every partition.
 
-    ``cluster_masks`` is ``PartitionSpace.cluster_masks``: row g lists the
-    bitmasks of partition g's clusters, padded with the empty set.  Only
-    the lattice view ``JointGridPosterior.log_mass`` reads it.
+    ``rows`` is a (2^L, C) table indexed by subset bitmask whose row 0, the
+    empty set, is 0; ``cluster_masks`` is ``PartitionSpace.cluster_masks``:
+    row g lists the bitmasks of partition g's blocks, padded with the empty
+    set.  Summing log block factors gives each partition's log weight, as
+    ``JointGridPosterior.log_mass`` and ``baselines.dpm_exact`` do; nothing
+    on the analysis path reads it.
     """
-    G, L = cluster_masks.shape
-    out = np.take(table.q, cluster_masks[:, 0], axis=0)
-    rows = np.empty_like(out)
-    for k in range(1, L):
+    out = np.take(rows, cluster_masks[:, 0], axis=0)
+    scratch = np.empty_like(out)
+    for k in range(1, cluster_masks.shape[1]):
         # masks are in range by construction; mode="raise" would buffer ``out``
-        np.take(table.q, cluster_masks[:, k], axis=0, out=rows, mode="clip")
-        out += rows
+        np.take(rows, cluster_masks[:, k], axis=0, out=scratch, mode="clip")
+        out += scratch
     return out
 
 

@@ -163,11 +163,6 @@ class PartitionSpace:
         return _PartitionSequence(self.assignment_array)
 
     @cached_property
-    def d_array(self) -> np.ndarray:
-        """(G,) cluster counts."""
-        return self.assignment_array.max(axis=1) + 1
-
-    @cached_property
     def cluster_masks(self) -> np.ndarray:
         """(G, L) subset bitmask of cluster k of each partition, 0 past the last.
 
@@ -233,16 +228,22 @@ def _subset_names(l: int) -> tuple[str, ...]:
                  for s in range(1 << l))
 
 
+#: Rows :func:`notations` takes at once, so that its (n, L) masks stay small.
+_NAME_ROWS = 1 << 14
+
+
 def notations(labels: np.ndarray) -> list[str]:
     """The :meth:`Partition.notation` of each row of an (n, L) array of growth strings.
 
     Joins the cached names of each row's cluster bitmasks in order of first
     appearance, which for a growth string is the order of the clusters'
-    smallest members; no ``Partition`` is built.
+    smallest members; no ``Partition`` is built.  Rows are named
+    ``_NAME_ROWS`` at a time.
     """
-    names = _subset_names(labels.shape[1])
-    return ["|".join(names[m] for m in dict.fromkeys(row))
-            for row in member_masks(labels).tolist()]
+    name = _subset_names(labels.shape[1]).__getitem__
+    return ["|".join(map(name, dict.fromkeys(row)))
+            for c0 in range(0, labels.shape[0], _NAME_ROWS)
+            for row in member_masks(labels[c0:c0 + _NAME_ROWS]).tolist()]
 
 
 def _growth_string_array(l: int) -> np.ndarray:

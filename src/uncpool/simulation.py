@@ -25,7 +25,7 @@ from .grid import (DeltaGrid, build_grid, covers95, evaluate_joint, exact_mixtur
                    marginal_g, order_statistics)
 from .io import read_lines
 from .model import SurveyData
-from .partitions import PartitionSpace, display_label_l3, enumerate_partitions
+from .partitions import L3_LABELS, PartitionSpace, enumerate_partitions
 
 #: Separation step used in the reference study; scenarios take 0, 4 and 8
 #: multiples of this constant.
@@ -130,7 +130,7 @@ def _shared(r: int) -> tuple[PartitionSpace, DeltaGrid, np.ndarray]:
     L=3 space, the grid, and the permutation from enumeration order to the
     conventional 1..5 labels."""
     space = enumerate_partitions(3)
-    order = np.argsort([display_label_l3(p) for p in space.partitions])
+    order = np.argsort([L3_LABELS[tuple(row)] for row in space.assignment_array.tolist()])
     return space, build_grid(r), order
 
 

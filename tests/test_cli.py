@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uncpool import DpmConfig, ReportDocument, dpm_gibbs
+from uncpool import (DpmConfig, ReportDocument, build_grid, dpm_gibbs, enumerate_partitions,
+                     evaluate_joint, marginal_g, parse_input)
 from uncpool.cli import DPM_QUADRATURE_MAX_L, build_parser, run_command
 
 from conftest import make_dixie
@@ -33,6 +34,24 @@ def test_partitions_with_masses(dixie_file, capsys):
     assert len(lines) == 5
     masses = [float(line.split("\t")[1]) for line in lines]
     assert sum(masses) == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_partitions_listing_names_rows_as_partition_does(l, tmp_path, capsys):
+    space = enumerate_partitions(l)
+    want = [p.notation() for p in space.partitions]
+    assert run_command(["partitions", "--l", str(l)]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+    rng = np.random.default_rng(l)
+    rows = "".join(f"s{i},{y!r},{se!r}\n" for i, (y, se) in
+                   enumerate(zip(rng.normal(0.3, 0.05, l).tolist(),
+                                 rng.uniform(0.01, 0.03, l).tolist())))
+    f = tmp_path / "in.csv"
+    f.write_text("label,estimate,se\n" + rows, encoding="utf-8")
+    assert run_command(["partitions", "--l", str(l), "--input", str(f), "--r", "30"]) == 0
+    masses = marginal_g(evaluate_joint(parse_input(str(f)), space, build_grid(30)))
+    assert capsys.readouterr().out.splitlines() == [f"{name}\t{m:.6f}"
+                                                    for name, m in zip(want, masses)]
 
 
 def test_pool_report_embeds_config_and_reproduces(dixie_file, tmp_path):
@@ -456,6 +475,36 @@ def test_only_the_dpm_command_loads_the_dpm(dixie_file, tmp_path):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(cmd == "dpm"), cmd
+
+
+def test_no_command_builds_a_partition(dixie_file, tmp_path):
+    # commands name and sum partitions through growth strings and per-subset
+    # rows; Partition is the public type and the tests' naming oracle
+    import subprocess
+    import sys
+
+    scen = tmp_path / "scen.txt"
+    scen.write_text("reps = 3\nr = 50\nb = 200\n", encoding="utf-8")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("label,estimate,se\n" + "".join(f"s{i},{0.25 + 0.01 * i},0.02\n"
+                                                    for i in range(7)), encoding="utf-8")
+    inp = ["--input", str(dixie_file)]
+    grid = [*inp, "--r", "50", "--b", "200"]
+    runs = [["pool", *grid], ["pool-all", *grid], ["dpm", *inp],
+            ["dpm", "--input", str(wide), "--iterations", "300", "--burn-in", "50"],
+            ["simulate", "--scenario", str(scen)], ["partitions", "--l", "4"],
+            ["partitions", "--l", "3", *inp, "--r", "50"]]
+    for n, argv in enumerate(runs):
+        argv = [*argv, "--output", str(tmp_path / f"out{n}")]
+        code = ("from uncpool.cli import run_command\n"
+                "from uncpool.partitions import Partition\n"
+                "made, check = [], Partition.__post_init__\n"
+                "Partition.__post_init__ = lambda p: made.append(p) or check(p)\n"
+                f"assert run_command({argv!r}) == 0\n"
+                "print(len(made))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0", argv
 
 
 def test_the_dpm_chain_lives_in_baselines_alone(dixie_file, tmp_path):

@@ -131,7 +131,7 @@ def test_scores_match_scalar_kernel(dixie_panel1):
     # vectorized grid scores agree with the scalar misfit statistic
     space = enumerate_partitions(3)
     grid = build_grid(40)
-    q = q_matrix(subset_table(dixie_panel1.y_hat, dixie_panel1.v, grid.deltas2),
+    q = q_matrix(subset_table(dixie_panel1.y_hat, dixie_panel1.v, grid.deltas2).q,
                  space.cluster_masks)
     for gi, p in enumerate(space.partitions):
         for j in (0, 13, 39):
@@ -308,6 +308,31 @@ def test_mixture_cdf_is_non_decreasing(dixie_panel1):
                     for x in np.linspace(0.0, 0.6, 601)])
     assert np.all(np.diff(cdf, axis=0) >= 0.0)
     assert np.all(cdf[0] < 1e-6) and np.all(cdf[-1] > 1.0 - 1e-6)
+
+
+def test_mixture_cdf_refuses_nan_and_reaches_0_and_1_at_the_extremes(dixie_panel1):
+    # a NaN point was read as "not covered"; a point near the float range warned
+    # of an overflow on its way to erfc, which maps +-inf to 0 and 2
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(300))
+    for fn in (mixture_cdf, covers95):
+        with pytest.raises(DomainError, match="point of source HS is NaN"):
+            fn(dixie_panel1, jp, np.array([0.3, np.nan, 0.3]))
+    for big in (np.inf, 1e308):   # the suite turns numpy's warnings into errors
+        top = mixture_cdf(dixie_panel1, jp, np.full(3, big))
+        assert np.max(np.abs(top - 1.0)) < 1e-12   # W sums to 1 up to rounding
+        assert np.array_equal(mixture_cdf(dixie_panel1, jp, np.full(3, -big)), np.zeros(3))
+        assert not covers95(dixie_panel1, jp, np.array([big, -big, big])).any()
+
+
+def test_draws_refuse_a_negative_seed(dixie_panel1):
+    # as RunConfig does, not with numpy's ValueError from the generator
+    grid_ = build_grid(50)
+    jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), grid_)
+    with pytest.raises(DomainError, match=r"seed must be >= 0, got -5"):
+        sample_mu(dixie_panel1, jp, 10, -5)
+    with pytest.raises(DomainError, match=r"seed must be >= 0, got -1"):
+        pool_all(dixie_panel1, grid_, b=10, seed=-1)
+    assert sample_mu(dixie_panel1, jp, 10, 0).mu.shape == (10, 3)
 
 
 def test_mixture_cdf_needs_one_point_per_source(dixie_panel1):

@@ -263,8 +263,8 @@ def test_run_config_validation():
         RunConfig(r=1)
     with pytest.raises(DomainError):
         RunConfig(b=0)
-    with pytest.raises(DomainError):
-        RunConfig(format="xml")
+    with pytest.raises(DomainError, match="xml"):   # the output format is render_report's
+        render_report(sample_doc(), "xml")
     with pytest.raises(DomainError, match="seed"):
         RunConfig(seed=-1)
 

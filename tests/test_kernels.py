@@ -70,7 +70,7 @@ def test_subset_factorization_matches_direct(l):
     rng = np.random.default_rng(10 + l)
     y, v, d2, space = instance(rng, l, 40)
     data = SurveyData([f"s{i}" for i in range(l)], y, v)
-    q = q_matrix(subset_table(y, v, d2), space.cluster_masks)
+    q = q_matrix(subset_table(y, v, d2).q, space.cluster_masks)
     assert q.shape == (space.g, 40)
     gs = range(space.g) if space.g <= 60 else rng.choice(space.g, 60, replace=False)
     for g in gs:

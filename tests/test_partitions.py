@@ -5,7 +5,8 @@ import pytest
 
 from uncpool import (DomainError, Partition, PartitionSpace, bell_number, display_label_l3,
                      enumerate_partitions)
-from uncpool.partitions import growth_codes, growth_labels, member_masks
+from uncpool import partitions
+from uncpool.partitions import growth_codes, growth_labels, member_masks, notations
 
 
 def bell_oracle(n: int) -> int:
@@ -146,7 +147,14 @@ def test_masks_and_counts_match_partition_objects(l):
     member = [[cluster[g][k] for k in p.assignment] for g, p in enumerate(parts)]
     assert space.cluster_masks.tolist() == cluster
     assert member_masks(space.assignment_array).tolist() == member
-    assert space.d_array.tolist() == [p.d for p in parts]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1 << 14])
+def test_notations_in_chunks_name_rows_as_partition_does(monkeypatch, rows):
+    monkeypatch.setattr(partitions, "_NAME_ROWS", rows)
+    space = enumerate_partitions(6)
+    assert notations(space.assignment_array) == [p.notation() for p in space.partitions]
+    assert notations(space.assignment_array[:0]) == []
 
 
 def test_partitions_behave_like_the_tuple():

@@ -22,9 +22,9 @@ def lattice(data, grid):
     y, v, d2 = data.y_hat, data.v, grid.deltas2
     table = subset_table(y, v, d2)
     base = 0.5 * np.log(v[:, None] / (d2[None, :] + v[:, None])).sum(axis=0)
-    lm = -0.5 * q_matrix(table, space.cluster_masks)
+    lm = -0.5 * q_matrix(table.q, space.cluster_masks)
     lm += (base + log_inv_beta_prior(d2) + grid.log_prior_mass - math.log(space.g))[None, :]
-    lm -= 0.5 * space.d_array[:, None]
+    lm -= 0.5 * (space.cluster_masks != 0).sum(axis=1)[:, None]   # -1/2 per block
     top = lm.max()
     log_z = float(top + np.log(np.exp(lm - top).sum()))
     return space, table, lm - log_z, log_z

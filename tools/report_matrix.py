@@ -21,7 +21,9 @@ importable, and writes into OUTDIR:
   that no estimate lies below 1;
 - ``dpm`` in json at seed 0 on that panel offset by 1e12, through the
   quadrature, and on the L=7 input offset by 1e12, through the chain;
-- ``partitions --l 3`` with posterior masses for the first panel;
+- ``partitions --l 3`` with posterior masses for the first panel, and
+  ``partitions --l 8`` without masses and with them for the L=8 input at
+  ``--r 200``;
 - a 40-replicate ``simulate``.
 
 Two versions that should change no output give trees whose ``diff -r`` is
@@ -105,6 +107,9 @@ def _runs(inputs: Path, out: Path):
            out / "dpm-wide_7_plus_1e12-chain.json")
     yield (["partitions", "--l", "3", "--input", str(inputs / f"{PANELS[0][0]}.csv")],
            out / "partitions-l3.txt")
+    yield ["partitions", "--l", "8"], out / "partitions-l8.txt"
+    yield (["partitions", "--l", "8", "--input", extra["wide_8"], "--r", "200"],
+           out / "partitions-l8-wide_8-r200.txt")
     yield ["simulate", "--scenario", str(inputs / "scenario.txt")], out / "simulate"
 
 
