@@ -305,10 +305,10 @@ def _dpm_blocks(t: kernels.SubsetTable, eta_c: np.ndarray, tau2: np.ndarray,
     shift.  Row 0, the empty set, holds finite values that no caller uses
     as a block.
     """
-    l = t.a.shape[0].bit_length() - 1
+    l = t.q.shape[0].bit_length() - 1
     sizes = kernels.membership(l).sum(axis=0)
     sizes[0] = 1.0
-    a, ybar, q = t.a[:, :1], t.ybar[:, :1], t.q[:, :1]
+    a, ybar, q = t.terms.a[:, :1], t.ybar[:, :1], t.q[:, :1]
     ta = tau2 * a
     ta += 1.0
     mean = tau2 * (ybar * a)

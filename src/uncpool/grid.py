@@ -29,13 +29,14 @@ shared, read-only, by every posterior on them.  What depends on the
 estimates (ybar, q, phi, Z and W) is written in place into the rows of one
 (5, 2^L, R) array per posterior, so an analysis makes one large
 allocation.  The posterior keeps the estimates and variances it was built
-from, and every consumer refuses other data.
+from, and every consumer refuses other data; the draws keep the posterior
+they were drawn from, and ``summarize`` refuses draws from another.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -182,18 +183,19 @@ def marginal_delta2(jp: JointGridPosterior) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Monte Carlo draws of mu from the grid posterior."""
+    """Monte Carlo draws of mu from the grid posterior ``posterior``."""
 
     b: int
     mu: np.ndarray             # (B, L)
     codes: np.ndarray          # (B,) growth-string code of each draw's partition
     delta2_values: np.ndarray  # (B,) grid delta2 per draw
     seed: int
+    posterior: JointGridPosterior = field(repr=False, compare=False)
 
     @cached_property
     def g_indices(self) -> np.ndarray:
-        """(B,) each draw's partition index in the enumeration, built on first read."""
-        return PartitionSpace(self.mu.shape[1]).index_of_codes(self.codes)
+        """(B,) each draw's partition index in the posterior's enumeration, built on first read."""
+        return self.posterior.space.index_of_codes(self.codes)
 
 
 def _draw_mu(data: SurveyData, table: kernels.SubsetTable, slots: np.ndarray,
@@ -213,9 +215,9 @@ def _draw_mu(data: SurveyData, table: kernels.SubsetTable, slots: np.ndarray,
     # run's peak; per-cell factors are gathered from (R, L) views.
     n, l = slots.shape
     terms = table.terms
-    flat = masks * table.a.shape[1] + cols[:, None]            # cluster's table entry
+    flat = masks * terms.a.shape[1] + cols[:, None]            # cluster's table entry
     nu = rng.standard_normal((n, l)).take(slots + np.arange(0, n * l, l)[:, None])
-    nu /= np.sqrt(table.a.take(flat))
+    nu /= np.sqrt(terms.a.take(flat))
     nu += table.ybar.take(flat)
     nu -= data.y_hat - table.shift                             # nu_S - y_i
     nu *= terms.oml.T.take(cols, axis=0)
@@ -362,6 +364,7 @@ def sample_mu(data: SurveyData, jp: JointGridPosterior, b: int, seed: int) -> Po
         codes=codes,
         delta2_values=jp.grid.deltas2[j_idx],
         seed=seed,
+        posterior=jp,
     )
 
 
@@ -721,6 +724,8 @@ def summarize(data: SurveyData, jp: JointGridPosterior, draws: PosteriorDraws,
     if not 0.0 <= threshold <= 1.0:
         raise DomainError(f"threshold must be a probability in [0, 1], got {threshold}")
     _check_sources(data, jp)
+    if draws.posterior is not jp:
+        raise DomainError("draws were sampled from another posterior")
     if draws.mu.ndim != 2 or draws.mu.shape[1] != data.l:
         raise DomainError(f"draws of mu must have one column per source, L={data.l}; "
                           f"got shape {draws.mu.shape}")

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -70,15 +70,24 @@ class SubsetTable:
     ybar: np.ndarray     # (2^L, R) ybar_S - shift
     q: np.ndarray        # (2^L, R) q_S
 
-    @property
-    def a(self) -> np.ndarray:
-        """(2^L, R) A_S, read-only."""
-        return self.terms.a
-
 
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+def _subset_sums(per_source: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill row S of ``out`` (..., 2^L, R) with the sum over i in S of ``per_source`` (..., L, R).
+
+    The subsets holding source i as their highest member are the subsets of
+    sources 0..i-1 with i added, so one block addition per source builds
+    all 2^L rows; row 0, the empty set, is 0.  Returns ``out``.
+    """
+    out[..., 0, :] = 0.0
+    for i in range(per_source.shape[-2]):
+        lo = 1 << i
+        np.add(out[..., :lo, :], per_source[..., i, None, :], out=out[..., lo:2 * lo, :])
+    return out
 
 
 class VarianceTerms:
@@ -94,10 +103,7 @@ class VarianceTerms:
         vc = v[:, None]
         self.deltas2 = deltas2
         self.w = 1.0 / (d2 + vc)                      # (L, R)
-        self.a = np.zeros((1 << v.shape[0], deltas2.shape[0]))   # (2^L, R) A_S
-        for i in range(v.shape[0]):
-            lo = 1 << i
-            np.add(self.a[:lo], self.w[i], out=self.a[lo:2 * lo])
+        self.a = _subset_sums(self.w, np.empty((1 << v.shape[0], deltas2.shape[0])))   # A_S
         self.inv_a = np.zeros_like(self.a)            # (2^L, R) 1/A_S
         np.divide(1.0, self.a[1:], out=self.inv_a[1:])
         self.oml = vc / (d2 + vc)                     # (L, R) 1 - lam
@@ -166,9 +172,7 @@ def centre(y, v) -> float:
 def subset_table(y, v, deltas2, out=None) -> SubsetTable:
     """Per-subset sums of the centred estimates on the delta2 grid.
 
-    The subsets holding source i as their highest member are the subsets of
-    sources 0..i-1 with i added, so one block addition per source builds
-    all 2^L rows; B and C are summed that way, as :class:`VarianceTerms`
+    B and C are summed by :func:`_subset_sums`, as :class:`VarianceTerms`
     sums A.  ``out``, if given, is a C-contiguous (3, 2^L, R) array:
     ``out[0]`` and ``out[1]`` become the table's ``ybar`` and ``q``, and
     ``out[2]`` is scratch, left holding garbage.  The table carries
@@ -189,10 +193,7 @@ def subset_table(y, v, deltas2, out=None) -> SubsetTable:
         wy = scratch[:2 * L].reshape(2, L, -1)     # w y and w y^2 per source; 2L <= 2^L rows
         np.multiply(w, yc[:, None], out=wy[0])
         np.multiply(w, (yc * yc)[:, None], out=wy[1])
-        sums[:, 0] = 0.0
-        for i in range(L):
-            lo = 1 << i
-            np.add(sums[:, :lo], wy[:, i, None, :], out=sums[:, lo:2 * lo])
+        _subset_sums(wy, sums)
         a = terms.a
         ybar[1:] /= a[1:]
         b2a = np.multiply(ybar[1:], ybar[1:], out=scratch[1:])
@@ -290,19 +291,17 @@ def subset_splits(l: int) -> SubsetSplits:
 _SPLIT_CELLS = 1 << 22
 
 
-def _split_layers(src: np.ndarray, out: np.ndarray):
-    """Walk the recursion of :func:`partition_sums` over ``src``, filling ``out``.
+def _walk_layers(src: np.ndarray, out: np.ndarray, combine) -> np.ndarray:
+    """Fill ``out`` by the recursion of :func:`partition_sums` over ``src``.
 
     Per column block and |U| layer, singletons are copied from ``src``
-    (Z({i}) = phi({i})); every other layer yields ``(us, block, rest, s, o)``:
-    the layer's subsets U, their splits' blocks T and rests U - T, and the
-    column block of ``src`` and of ``out``.  The caller fills rows ``us``
-    of ``o`` from rows ``block`` of ``s`` and rows ``rest`` of ``o`` before
-    asking for the next layer.  Row 0 of neither array is touched.  It
-    yields row indices, not gathered rows, so that one layer's gathered
-    arrays are freed before the next layer's are made: at L = 8, R = 200,
-    where each is 1.4 MB, holding two layers' at once made
-    :func:`partition_sums` about 50% slower.
+    (Z({i}) = phi({i})).  Every other layer gathers its splits' blocks T
+    from ``src`` and rests U - T from ``out``, each as a (U, 2^(|U|-1),
+    columns) array, and rows U of ``out`` get ``combine(blocks, rests)``,
+    which may overwrite both.  Row 0 of neither array is touched.  One
+    layer's gathered arrays are freed before the next layer's are made: at
+    L = 8, R = 200, where each is 1.4 MB, holding two layers' at once made
+    :func:`partition_sums` about 50% slower.  Returns ``out``.
     """
     n_sub, r = src.shape
     splits = subset_splits(n_sub.bit_length() - 1)
@@ -314,7 +313,10 @@ def _split_layers(src: np.ndarray, out: np.ndarray):
             if us.shape[0] == rows.stop - rows.start:    # singletons
                 o[us] = s[us]
                 continue
-            yield us, splits.block[rows], splits.rest[rows], s, o
+            shape = (us.shape[0], -1, s.shape[1])
+            o[us] = combine(s.take(splits.block[rows], axis=0).reshape(shape),
+                            o.take(splits.rest[rows], axis=0).reshape(shape))
+    return out
 
 
 def partition_sums(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -322,18 +324,26 @@ def partition_sums(phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
     Z(empty) = 1 and Z(U, j) = sum over T in U holding min U of
     phi(T, j) Z(U - T, j), so Z(U, j) is the sum over all partitions of U
-    of the product of phi over their blocks.  Built layer by layer in |U|:
-    each layer gathers its splits' block and rest rows and sums each U's
-    2^(|U|-1) products.  Costs (3^L - 1)/2 products per grid point.
-    Written into ``out``, of phi's shape, when it is given.
+    of the product of phi over their blocks.  Built layer by layer in |U|
+    by :func:`_walk_layers`, whose combine sums each U's 2^(|U|-1)
+    products.  Costs (3^L - 1)/2 products per grid point.  Written into
+    ``out``, of phi's shape, when it is given.
     """
     z = np.empty_like(phi) if out is None else out
     z[0] = 1.0
-    for us, block, rest, ph, zc in _split_layers(phi, z):
-        shape = (us.shape[0], -1, ph.shape[1])
-        zc[us] = np.einsum("ukr,ukr->ur", ph.take(block, axis=0).reshape(shape),
-                           zc.take(rest, axis=0).reshape(shape))
-    return z
+    return _walk_layers(phi, z, partial(np.einsum, "ukr,ukr->ur"))
+
+
+def _log_sum_of_products(terms: np.ndarray, rests: np.ndarray) -> np.ndarray:
+    """log sum_k exp(terms + rests) over axis 1, about each row's largest; overwrites ``terms``."""
+    terms += rests
+    top = terms.max(axis=1)
+    terms -= top[:, None]
+    np.exp(terms, out=terms)
+    total = terms.sum(axis=1)
+    np.log(total, out=total)
+    total += top
+    return total
 
 
 def log_partition_sums(log_phi: np.ndarray) -> np.ndarray:
@@ -347,18 +357,7 @@ def log_partition_sums(log_phi: np.ndarray) -> np.ndarray:
     """
     lz = np.empty_like(log_phi)
     lz[0] = 0.0
-    for us, block, rest, lp, lzc in _split_layers(log_phi, lz):
-        terms = lp.take(block, axis=0)
-        terms += lzc.take(rest, axis=0)
-        terms = terms.reshape(us.shape[0], -1, terms.shape[1])
-        top = terms.max(axis=1)
-        terms -= top[:, None]
-        np.exp(terms, out=terms)
-        total = terms.sum(axis=1)
-        np.log(total, out=total)
-        total += top
-        lzc[us] = total
-    return lz
+    return _walk_layers(log_phi, lz, _log_sum_of_products)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def _centred_moments(data, jp):
         oml = data.v[i] / (d2 + data.v[i])
         w = jp.block_mass[held]
         dev = oml * (t.ybar[held] - (data.y_hat[i] - t.shift))     # component mean - y_i
-        s2 = d2 * oml + oml * oml / t.a[held]
+        s2 = d2 * oml + oml * oml / t.terms.a[held]
         e = (w * dev).sum()
         mean[i] = data.y_hat[i] + e
         sd[i] = math.sqrt((w * (s2 + (dev - e) ** 2)).sum())
@@ -435,7 +435,7 @@ def test_posterior_for_another_l_is_refused():
                         build_grid(40))
     data = small_data(np.random.default_rng(2), 4)
     draws = PosteriorDraws(b=2, mu=np.zeros((2, 4)), codes=np.zeros(2, dtype=np.int64),
-                           delta2_values=jp.grid.deltas2[:2], seed=0)
+                           delta2_values=jp.grid.deltas2[:2], seed=0, posterior=jp)
     calls = [lambda: sample_mu(data, jp, 10, seed=0),
              lambda: summarize(data, jp, draws),
              lambda: exact_mixture_moments(data, jp),
@@ -456,7 +456,7 @@ def test_posterior_built_from_other_data_is_refused(shift_y, scale_v, differ):
     jp = evaluate_joint(built, enumerate_partitions(3), build_grid(40))
     data = SurveyData(built.labels, built.y_hat + shift_y, built.v * scale_v)
     draws = PosteriorDraws(b=2, mu=np.zeros((2, 3)), codes=np.zeros(2, dtype=np.int64),
-                           delta2_values=jp.grid.deltas2[:2], seed=0)
+                           delta2_values=jp.grid.deltas2[:2], seed=0, posterior=jp)
     calls = [lambda: sample_mu(data, jp, 10, seed=0),
              lambda: summarize(data, jp, draws),
              lambda: exact_mixture_moments(data, jp),
@@ -501,9 +501,28 @@ def test_cold_and_warm_cache_posteriors_are_bit_identical():
 def test_summarize_refuses_draws_of_another_width(dixie_panel1, shape):
     jp = evaluate_joint(dixie_panel1, enumerate_partitions(3), build_grid(40))
     draws = PosteriorDraws(b=5, mu=np.zeros(shape), codes=np.zeros(5, dtype=np.int64),
-                           delta2_values=jp.grid.deltas2[:5], seed=0)
+                           delta2_values=jp.grid.deltas2[:5], seed=0, posterior=jp)
     with pytest.raises(DomainError, match=rf"one column per source, L=3; got shape \({shape[0]},"):
         summarize(dixie_panel1, jp, draws)
+
+
+def test_summarize_refuses_draws_of_another_posterior():
+    # draws of the same width for other estimates used to be summarised as this
+    # posterior's, with the other data's intervals
+    data = make_dixie(1.0)
+    other = SurveyData(data.labels, [0.2, 0.3, 0.4], data.v)
+    space, g = enumerate_partitions(3), build_grid(200)
+    jp = evaluate_joint(data, space, g)
+    draws = sample_mu(other, evaluate_joint(other, space, g), 200, seed=0)
+    with pytest.raises(DomainError, match="draws were sampled from another posterior"):
+        summarize(data, jp, draws)
+    own = sample_mu(data, jp, 200, seed=0)
+    assert own.posterior is jp and "posterior" not in repr(own)
+    assert "space" not in vars(jp)
+    assert own.g_indices.shape == (200,) and "space" in vars(jp)   # the posterior's space
+    table = summarize(data, jp, own)
+    mean = exact_mixture_moments(data, jp)[0]
+    assert np.all((np.array(table.ci_lower) < mean) & (mean < np.array(table.ci_upper)))
 
 
 def test_refinement_stability(dixie_panel1):

@@ -7,7 +7,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from uncpool import DpmConfig, SurveyData, dpm_gibbs, q_statistic
+from uncpool import ComputationError, DpmConfig, SurveyData, dpm_gibbs, q_statistic
 from uncpool import baselines, kernels
 from uncpool.baselines import dpm_chain
 from uncpool.kernels import q_matrix, subset_table
@@ -61,7 +61,7 @@ def test_variance_terms_match_their_formulas():
     assert np.array_equal(terms.inv_a[1:], 1.0 / terms.a[1:]) and not terms.inv_a[0].any()
     s2 = terms.within[:, None, :] + terms.oml[:, None, :] ** 2 / terms.a[kernels.holders(4)]
     assert np.allclose(terms.cdf_sd, np.sqrt(2.0 * s2), rtol=1e-15, atol=0)
-    assert np.array_equal(subset_table(y, v, d2).a, terms.a)
+    assert np.array_equal(subset_table(y, v, d2).terms.a, terms.a)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5, 8])
@@ -99,8 +99,8 @@ def test_subset_terms_singletons_are_zero():
     for i in range(4):
         assert np.max(np.abs(table.q[1 << i])) < 1e-12
         assert table.ybar[1 << i] == pytest.approx(np.full(20, y[i] - table.shift), abs=1e-15)
-        assert table.a[1 << i] == pytest.approx(1.0 / (d2 + v[i]), rel=1e-15)
-    assert not table.q[0].any() and not table.a[0].any()
+        assert table.terms.a[1 << i] == pytest.approx(1.0 / (d2 + v[i]), rel=1e-15)
+    assert not table.q[0].any() and not table.terms.a[0].any()
 
 
 @pytest.mark.parametrize("c", [0.3, 1e16, 1e20, 1e300])
@@ -201,6 +201,21 @@ def test_mixture_quantiles_solve_skewed_and_bimodal_mixtures():
         for j, q in enumerate(levels):
             assert abs(_mixture_cdf(wk, mk, sk, x[k, j]) - q) < 1e-12
     assert x[0, 0] < -4.0
+
+
+def test_mixture_quantile_on_a_step_is_where_its_bracket_closes():
+    # two point-like components: F jumps from 0.5 to 1 at x = 1, where it is
+    # 0.75, so F(x) = 0.6 has no root and the bracket closes on the step
+    x = kernels.mixture_quantiles(np.full(2, 0.5), np.array([0.0, 1.0]), np.full(2, 1e-150),
+                                  np.zeros(2, dtype=np.int64), (0.6,))
+    assert x[0, 0] == 1.0
+
+
+def test_mixture_quantiles_that_do_not_converge_raise(monkeypatch):
+    monkeypatch.setattr(kernels, "_QUANTILE_STEPS", 1)
+    with pytest.raises(ComputationError, match="did not converge in 1 steps"):
+        kernels.mixture_quantiles(np.full(2, 0.5), np.array([0.0, 1.0]), np.array([1.0, 0.5]),
+                                  np.zeros(2, dtype=np.int64), (0.025, 0.975))
 
 
 # ``baselines.dpm_chain``, the DPM's Gibbs sweeps, tested here under the

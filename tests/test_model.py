@@ -283,6 +283,19 @@ def test_survey_data_validation():
         SurveyData(["a"], [0.1], [0.0])
     with pytest.raises(DomainError):
         SurveyData(["a", "b"], [0.1], [0.01])
+    with pytest.raises(DomainError, match="1-d arrays of equal length"):
+        SurveyData(["a", "b"], [0.1, 0.2], [0.01])
+    with pytest.raises(DomainError, match="1-d arrays of equal length"):
+        SurveyData(["a"], [[0.1]], [[0.01]])
+
+
+@pytest.mark.parametrize("delta2", [0.0, -0.1])
+def test_scalar_formulas_refuse_delta2_at_or_below_zero(delta2):
+    data = SurveyData(["a", "b"], [0.1, 0.2], [0.01, 0.02])
+    p = Partition((0, 0))
+    for f in (conditional_moments, q_statistic, log_partition_likelihood):
+        with pytest.raises(DomainError, match=f"delta2 must be > 0, got {delta2}"):
+            f(data, p, delta2)
 
 
 @pytest.mark.parametrize("v", [[1e-320], [1e-308, 1e-308]])

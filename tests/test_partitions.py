@@ -59,6 +59,7 @@ def test_l3_contains_the_five_partitions():
     space = enumerate_partitions(3)
     notations = [p.notation() for p in space.partitions]
     assert notations == ["{1,2,3}", "{1,2}|{3}", "{1,3}|{2}", "{1}|{2,3}", "{1}|{2}|{3}"]
+    assert repr(space.partitions) == "<5 partitions of 3>"
 
 
 def test_l1_single_partition():

@@ -40,7 +40,7 @@ def lattice_moments(data, space, table, lm):
         rows = member[:, i]
         oml = data.v[i] / (d2 + data.v[i])
         cond_mean = d2 / (d2 + data.v[i]) * (data.y_hat[i] - table.shift) + oml * table.ybar[rows]
-        cond_var = d2 * oml + oml * oml / table.a[rows]
+        cond_var = d2 * oml + oml * oml / table.terms.a[rows]
         mean[i] = (w * cond_mean).sum()
         sd[i] = math.sqrt((w * (cond_var + (cond_mean - mean[i]) ** 2)).sum())
     return table.shift + mean, sd
@@ -92,12 +92,13 @@ def test_partition_sums_equal_take_multiply_sum_bit_for_bit(l):
     # take, an in-place multiply and a sum over the splits of each subset
     phi = np.random.default_rng(30 + l).uniform(0.0, 1.0, size=(1 << l, 37))
     phi[0] = 0.0
+    def take_multiply_sum(blocks, rests):
+        blocks *= rests
+        return blocks.sum(axis=1)
+
     want = np.empty_like(phi)
     want[0] = 1.0
-    for us, block, rest, ph, zc in kernels._split_layers(phi, want):
-        prod = ph.take(block, axis=0)
-        prod *= zc.take(rest, axis=0)
-        zc[us] = prod.reshape(us.shape[0], -1, prod.shape[1]).sum(axis=1)
+    kernels._walk_layers(phi, want, take_multiply_sum)
     got = partition_sums(phi)
     assert got.tobytes() == want.tobytes()
 
